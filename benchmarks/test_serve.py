@@ -2,8 +2,9 @@
 
 The headline cell loads one million keyword subscriptions into the
 resident broker (``REPRO_BENCH_SERVE_SUBS`` overrides the population for
-quick CI smoke runs), forces the subscription-trie build, then measures
-steady-state publish latency and throughput in-process — the socket cell
+quick CI smoke runs), whose subscription trie is maintained eagerly on
+every subscribe, then measures steady-state publish latency and
+throughput in-process — the socket cell
 measures the protocol overhead separately at small scale so the two
 costs stay attributable. Point-query latency is measured against an
 :class:`IncrementalIndex` over a synthetic Zipf collection.
@@ -40,10 +41,12 @@ QUERY_PARAMS = dict(
     cardinality=20_000, avg_set_size=8, num_elements=1_000, z=0.6, seed=7
 )
 
-#: Loose wall-clock gates (milliseconds). Single-core pure Python; the
-#: point is regression detection, not absolute speed.
+#: Wall-clock gates (milliseconds). Single-core pure Python; the point is
+#: regression detection, not absolute speed. The publish gate fails a
+#: walk that scans every child of a node (115 ms p99 at 1M subscriptions)
+#: and passes the element-keyed descent.
 GATES_MS = {
-    "publish_p99_ms": 1_000.0,
+    "publish_p99_ms": 50.0,
     "query_p99_ms": 1_000.0,
     "socket_rtt_p99_ms": 250.0,
 }
@@ -86,9 +89,9 @@ def test_publish_at_scale(benchmark):
         for _ in range(NUM_SUBS):
             state.broker.subscribe(frozenset(_keywords(rng, rng.randint(1, 4))))
         subscribe_seconds = time.perf_counter() - build_start
-        tree_start = time.perf_counter()
+        first_start = time.perf_counter()
         state.handle("publish", {"keywords": _keywords(rng, 12)}, None)
-        tree_seconds = time.perf_counter() - tree_start
+        first_seconds = time.perf_counter() - first_start
 
         matched = [0]
 
@@ -103,8 +106,8 @@ def test_publish_at_scale(benchmark):
             "subscriptions": NUM_SUBS,
             "vocab": VOCAB,
             "subscribe_seconds": round(subscribe_seconds, 3),
-            "tree_build_seconds": round(tree_seconds, 3),
-            "trie_nodes": state.broker._tree.num_nodes,
+            "first_publish_seconds": round(first_seconds, 3),
+            "trie_nodes": state.broker.trie.tree.num_nodes,
             "measured_publishes": MEASURED,
             "total_matched": matched[0],
             "publish_p50_ms": round(summary["p50_ms"], 4),

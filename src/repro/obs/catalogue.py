@@ -36,7 +36,7 @@ SPAN_CATALOGUE = frozenset(
         "shard.merge",  # merging settled shard results in chunk-id order
         "checkpoint.write",  # one durable chunk spill (temp → fsync → rename)
         "checkpoint.resume",  # scanning/validating spills on a resumed run
-        "pubsub.rebuild",  # broker subscription-tree rebuild (compaction)
+        "pubsub.rebuild",  # broker subscription-trie compaction
         "serve.request",  # one request dispatched by the resident server
         "serve.compact",  # an explicit compact op on the resident structures
         "wal.replay",  # recovery replay of the op-log tail past the snapshot
@@ -125,8 +125,7 @@ COUNTER_CATALOGUE = {
     "pubsub.unsubscribed": "subscriptions cancelled",
     "pubsub.published": "events published",
     "pubsub.delivered": "subscription matches delivered",
-    "pubsub.compactions": "tombstone compactions scheduled",
-    "pubsub.rebuilds": "subscription-tree rebuilds",
+    "pubsub.rebuilds": "subscription-trie compactions (tombstones dropped)",
     # -- incremental maintenance (resident index/trie) --
     "index.incremental_appends": "records appended to the delta segment",
     "index.incremental_deletes": "records tombstoned in the resident index",
@@ -154,7 +153,7 @@ COUNTER_CATALOGUE = {
     # -- wal.*: the serve write-ahead log --
     "wal.appends": "op records appended to the write-ahead log",
     "wal.bytes_appended": "bytes appended to the write-ahead log",
-    "wal.fsyncs": "group-commit fsyncs (one per drained request batch)",
+    "wal.fsyncs": "group-commit fsyncs (one per drained batch with a forced record)",
     "wal.last_seq": "last appended-and-synced log sequence gauge",
     "wal.append_errors": "append/fsync failures degrading the log to read-only",
     "wal.records_replayed": "log records re-applied during recovery",

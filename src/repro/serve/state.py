@@ -191,13 +191,10 @@ class ServeState:
 
     def resident_bytes(self) -> int:
         """Analytic resident footprint of all three structures."""
-        broker_nodes = (
-            self.broker._tree.num_nodes if self.broker._tree is not None else 0
-        )
         return (
             self.index.nbytes()
             + self.trie.tree.num_nodes * _TRIE_NODE_BYTES
-            + broker_nodes * _TRIE_NODE_BYTES
+            + self.broker.trie.tree.num_nodes * _TRIE_NODE_BYTES
             + len(self.broker) * _SUBSCRIPTION_BYTES
         )
 

@@ -11,7 +11,14 @@ write-ahead log promises, stated here in protocol order:
    calls :meth:`DurableServeState.sync` (one ``fsync`` per drained request
    batch — group commit), and only then do the acknowledgements flush to
    the wire. An acknowledged write is therefore always durable; a crash
-   can only lose ops whose clients never saw an ack.
+   can only lose ops whose clients never saw an ack. ``publish`` is the
+   one exception (:data:`UNFORCED_OPS`): it changes only the
+   ``published``/``delivered`` counters, so its record — which carries a
+   count and digest of the matched ids, not the list — is written before
+   the ack but forces no fsync. The next forced commit or checkpoint
+   makes it durable; a process kill loses nothing (the bytes are in the
+   kernel), a power loss may drop the counter increments of publishes
+   acknowledged since the last fsync.
 2. **Recovery = snapshot + log tail.** Periodic checkpoints serialize the
    exact state of all three structures (index, trie, broker) through
    their ``dump_state`` methods and write them atomically with the
@@ -36,8 +43,8 @@ write-ahead log promises, stated here in protocol order:
    re-join and overwrite the new lineage.
 
 Fault injection (``REPRO_FAULTS=serve:...``) hooks the exact protocol
-points above: ``kill`` hard-exits right after a record's fsync (durable,
-unacknowledged — the settle point), ``torn`` writes a truncated record and
+points above: ``kill`` hard-exits right after a record's group commit
+(written, unacknowledged — the settle point), ``torn`` writes a truncated record and
 exits, ``diskfull`` makes the append raise ``ENOSPC``. A failed append or
 fsync permanently degrades the server to read-only: the op is applied in
 memory but its record is not durable, so acknowledging it — or logging
@@ -50,6 +57,7 @@ import errno
 import hashlib
 import json
 import os
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -79,6 +87,7 @@ __all__ = [
     "SNAPSHOT_NAME",
     "META_NAME",
     "LOGGED_OPS",
+    "UNFORCED_OPS",
     "WalRecord",
     "encode_record",
     "decode_record",
@@ -99,6 +108,10 @@ META_NAME = "serve.meta.json"
 LOGGED_OPS = frozenset(
     {"subscribe", "unsubscribe", "publish", "append", "delete", "compact"}
 )
+
+#: Logged ops whose group commit issues no fsync of its own: they change
+#: only since-boot counters, so a later forced commit may cover them.
+UNFORCED_OPS = frozenset({"publish"})
 
 #: Request-envelope keys stripped before an op's payload is logged.
 _ENVELOPE_KEYS = frozenset({"id", "op", "deadline_ms"})
@@ -216,6 +229,65 @@ def _wire_roundtrip(value: Any) -> Any:
     )
 
 
+def _log_result(op: str, result: Any) -> Any:
+    """The result as an op's log record carries it.
+
+    A publish records ``{count, digest}`` of its matched ids instead of
+    the list, which can run to thousands of ids per event; replay and
+    replicas still verify it exactly.
+    """
+    if op == "publish":
+        matched = result["matched"]
+        packed = struct.pack(f"<{len(matched)}q", *matched)
+        return {"count": len(matched), "digest": hashlib.sha256(packed).hexdigest()}
+    return _wire_roundtrip(result)
+
+
+def _reproduces(record: WalRecord, result: Any) -> bool:
+    """Whether re-applying ``record`` gave the result it logged.
+
+    Publish records of the earlier format carry the full ``matched`` list
+    and are compared in full.
+    """
+    recorded = record.result
+    if isinstance(recorded, dict) and "matched" in recorded:
+        return _wire_roundtrip(result) == recorded
+    return _log_result(record.op, result) == recorded
+
+
+def _current_broker_state(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A broker snapshot payload in the current format.
+
+    The earlier format listed ``subscriptions`` and carried a lazily
+    built ``tree`` (``paths``/``members``/``tombstones``, or null before
+    the first publish). Its trie is rebuilt from those paths with the
+    cancelled members as tombstones, or from the live subscriptions when
+    there was no tree.
+    """
+    if "trie" in payload:
+        return payload
+    live = {int(sub_id): keywords for sub_id, keywords in payload["subscriptions"]}
+    tree = payload["tree"]
+    if tree is None:
+        ids = {keyword: eid for eid, keyword in enumerate(payload["keywords"])}
+        paths = [[sorted(ids[k] for k in live[s]), [s]] for s in sorted(live)]
+        dead: List[int] = []
+    else:
+        paths = tree["paths"]
+        dead = sorted({int(rid) for rid in tree["members"]}.difference(live))
+    return {
+        "keywords": payload["keywords"],
+        "published": payload["published"],
+        "delivered": payload["delivered"],
+        "trie": {
+            "epoch": 0,
+            "next_rid": int(payload["next_id"]),
+            "dead": dead,
+            "paths": paths,
+        },
+    }
+
+
 class WriteAheadLog:
     """The append-only, checksummed op log behind one ``--data-dir``.
 
@@ -258,7 +330,11 @@ class WriteAheadLog:
         self._fd = os.open(  # lint: atomic-write (append-only op log; per-record checksums + torn-tail truncation are the durability protocol here)
             self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
         )
+        # Seqs appended since the last sync (each is a settle point), and
+        # whether written bytes await an fsync / one of them must force it.
         self._dirty: List[int] = []
+        self._unsynced = False
+        self._must_fsync = False
 
     # -- recovery ----------------------------------------------------------
 
@@ -329,6 +405,7 @@ class WriteAheadLog:
         # replaced before the flush), so dropping the dirty list keeps
         # later read-only batches from re-raising forever.
         self._dirty = []
+        self._must_fsync = False
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("wal.append_errors")
@@ -369,12 +446,18 @@ class WriteAheadLog:
             raise self._fail(f"write-ahead log append failed: {exc}", exc)
         self.records.append(record)
         self.last_seq = seq
-        self._dirty.append(seq)
+        self._written(record)
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("wal.appends")
             reg.inc("wal.bytes_appended", len(line))
         return record
+
+    def _written(self, record: WalRecord) -> None:
+        self._dirty.append(record.seq)
+        self._unsynced = True
+        if record.op not in UNFORCED_OPS:
+            self._must_fsync = True
 
     def append_replicated(self, record: WalRecord) -> None:
         """Append a record fetched from the primary (replica path).
@@ -404,31 +487,38 @@ class WriteAheadLog:
         self.records.append(record)
         self.last_seq = record.seq
         self.generation = record.generation
-        self._dirty.append(record.seq)
+        self._written(record)
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("wal.appends")
             reg.inc("wal.bytes_appended", len(line))
 
-    def sync(self) -> None:
+    def sync(self, *, force: bool = False) -> None:
         """Group commit: one fsync covering every record since the last.
 
-        The ``serve:kill`` fault fires here, *after* the fsync — the
-        settle point where a record is durable but its ack has not left —
-        which is exactly the crash the recovery tests must survive.
+        A batch holding only :data:`UNFORCED_OPS` records issues no fsync
+        unless ``force`` is set (checkpoints set it, so a snapshot never
+        runs ahead of the durable log). The ``serve:kill`` fault fires
+        here for every record of the batch, after any fsync — the settle
+        point where a record is written but its ack has not left — which
+        is exactly the crash the recovery tests must survive.
         """
-        if not self._dirty:
+        fsync = self._must_fsync or (force and self._unsynced)
+        if not self._dirty and not fsync:
             return
         self._refuse_if_failed()
-        try:
-            if self._fsync_enabled:
-                os.fsync(self._fd)
-        except OSError as exc:
-            raise self._fail(f"write-ahead log fsync failed: {exc}", exc)
-        synced, self._dirty = self._dirty, []
         reg = _obs.ACTIVE
+        if fsync:
+            try:
+                if self._fsync_enabled:
+                    os.fsync(self._fd)
+            except OSError as exc:
+                raise self._fail(f"write-ahead log fsync failed: {exc}", exc)
+            self._unsynced = self._must_fsync = False
+            if reg is not None:
+                reg.inc("wal.fsyncs")
+        synced, self._dirty = self._dirty, []
         if reg is not None:
-            reg.inc("wal.fsyncs")
             reg.set_gauge("wal.last_seq", float(self.last_seq))
         if self.plan is not None:
             for seq in synced:
@@ -599,7 +689,8 @@ class DurableServeState(ServeState):
                 snapshot["trie"], compact_ratio=compact_ratio
             )
             self.broker = Broker.restore_state(
-                snapshot["broker"], compact_ratio=compact_ratio
+                _current_broker_state(snapshot["broker"]),
+                compact_ratio=compact_ratio,
             )
             start_seq = int(snapshot["seq"])
         else:
@@ -654,7 +745,7 @@ class DurableServeState(ServeState):
         if record.op == "promote":
             return  # a control record: the generation lives in the log itself
         result = ServeState.handle(self, record.op, dict(record.params), None)
-        if _wire_roundtrip(result) != record.result:
+        if not _reproduces(record, result):
             raise WalError(
                 f"replay divergence at seq {record.seq}: {record.op} "
                 f"produced {result!r} but the log recorded "
@@ -668,7 +759,7 @@ class DurableServeState(ServeState):
         if record.op == "promote":
             return
         result = ServeState.handle(self, record.op, dict(record.params), None)
-        if _wire_roundtrip(result) != record.result:
+        if not _reproduces(record, result):
             raise WalError(
                 f"replication divergence at seq {record.seq}: {record.op} "
                 f"produced {result!r} but the primary recorded "
@@ -697,7 +788,7 @@ class DurableServeState(ServeState):
         self.wal._refuse_if_failed()
         result = super().handle(op, obj, deadline)
         params = {k: v for k, v in obj.items() if k not in _ENVELOPE_KEYS}
-        self.wal.append(op, params, _wire_roundtrip(result))
+        self.wal.append(op, params, _log_result(op, result))
         self._ops_since_snapshot += 1
         return result
 
@@ -712,11 +803,13 @@ class DurableServeState(ServeState):
         """Write a snapshot of the current (durable) state.
 
         Callers run this only at sync points — after :meth:`sync`, at
-        startup preload, at shutdown — so the captured state never
-        includes an un-fsync'd op.
+        startup preload, at shutdown — and it first forces an fsync of any
+        unforced records, so the captured state never includes an
+        un-fsync'd op.
         """
         if self.wal.failed:
             return
+        self.wal.sync(force=True)
         body: Dict[str, Any] = {
             "seq": self.wal.last_seq,
             "generation": self.wal.generation,

@@ -66,7 +66,7 @@ class TestPublish:
 
 class TestUnsubscribe:
     def test_cancelled_subscription_stops_matching(self, broker):
-        broker.publish({"sports"})  # force tree build
+        broker.publish({"sports"})
         broker.unsubscribe(2)
         assert broker.publish({"sports"}).matched == []
         assert len(broker) == 3
@@ -80,7 +80,7 @@ class TestUnsubscribe:
     def test_compaction_preserves_results(self):
         b = Broker(compact_ratio=0.25)
         ids = [b.subscribe({f"k{i}"}) for i in range(20)]
-        b.publish({"k0"})  # build the tree
+        b.publish({"k0"})
         for sub_id in ids[:15]:
             b.unsubscribe(sub_id)
         # After heavy cancellation the tree was compacted; the rest match.
@@ -92,63 +92,65 @@ class TestUnsubscribe:
             Broker(compact_ratio=0.0)
 
     def test_double_cancel_counts_one_tombstone(self, broker):
-        broker.publish({"sports"})  # force tree build
+        broker.publish({"sports"})
         broker.unsubscribe(2)
-        tombstones = broker._tombstones
+        assert broker.trie.dead_count == 1
         broker.unsubscribe(2)
         broker.unsubscribe(2)
-        assert broker._tombstones == tombstones
+        assert broker.trie.dead_count == 1
 
     def test_never_issued_id_is_clean_noop(self, broker):
         broker.publish({"sports"})
-        tombstones = broker._tombstones
         broker.unsubscribe(10_000)
         broker.unsubscribe(-1)
-        assert broker._tombstones == tombstones
+        assert broker.trie.dead_count == 0
         assert len(broker) == 4
 
     def test_double_cancel_does_not_force_spurious_compaction(self):
         # One real cancel, then the same id cancelled repeatedly: if every
-        # repeat counted a tombstone, the ratio check would drop the tree.
+        # repeat counted a tombstone, the ratio check would compact.
         b = Broker(compact_ratio=0.5)
         ids = [b.subscribe({f"k{i}"}) for i in range(4)]
         b.publish({"k0"})
-        tree = b._tree
+        tree = b.trie.tree
         b.unsubscribe(ids[0])
         for __ in range(10):
             b.unsubscribe(ids[0])
-        assert b._tree is tree, "repeat cancels compacted the live tree"
+        assert b.trie.epoch == 0, "repeat cancels compacted the live tree"
+        assert b.trie.tree is tree
 
     def test_cancel_during_publish_defers_compaction(self, monkeypatch):
-        # A delivery handler cancelling subscriptions mid-walk may push
-        # tombstones over the compaction threshold; the tree must not be
-        # dropped under the traversal, only after the walk completes.
+        # A delivery handler cancelling subscriptions mid-delivery pushes
+        # tombstones over the compaction threshold. The walk has already
+        # run to completion over its pinned snapshot, so the compaction
+        # may land at once: it swaps in a new tree instead of editing the
+        # walked one, and delivery still honours liveness at check time.
         b = Broker(compact_ratio=0.1)
         ids = [b.subscribe({"common", f"k{i}"}) for i in range(10)]
-        b.publish({"common", "k0"})  # build the tree
-        tree = b._tree
-        real_is_live = Broker._is_live
+        b.publish({"common", "k0"})
+        walked = b.trie.tree
+        real_deliverable = Broker._deliverable
         cancelled = []
 
-        def cancelling_is_live(self, sub_id):
-            if not cancelled:
-                # First delivery check: rip out most of the registry,
-                # reentrantly, exactly as a self-cancelling handler would.
-                for victim in ids[1:]:
-                    self.unsubscribe(victim)
-                    cancelled.append(victim)
-                assert self._tree is tree, "tree dropped mid-walk"
-            return real_is_live(self, sub_id)
+        def cancelling_deliverable(self, candidates, walked):
+            # At delivery: rip out most of the registry, reentrantly,
+            # exactly as a self-cancelling handler would.
+            for victim in ids[1:]:
+                self.unsubscribe(victim)
+                cancelled.append(victim)
+            return real_deliverable(self, candidates, walked)
 
-        monkeypatch.setattr(Broker, "_is_live", cancelling_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", cancelling_deliverable)
         delivery = b.publish({"common"} | {f"k{i}" for i in range(10)})
         assert cancelled, "reentrant cancellation never triggered"
         # Matches reflect liveness at delivery time; the walk survived.
-        assert set(delivery.matched) <= set(ids)
-        # The deferred compaction landed once the walk finished.
-        assert b._tree is None
+        assert delivery.matched == [ids[0]]
+        # The compaction landed on a new tree; the walked one is intact.
+        assert b.trie.epoch >= 1
+        assert b.trie.tree is not walked
+        assert walked.num_nodes > b.trie.tree.num_nodes
         # And the broker still works after the rebuild.
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", real_deliverable)
         assert b.publish({"common", "k0"}).matched == [ids[0]]
 
 
@@ -165,29 +167,22 @@ class TestIncrementalConsistency:
         assert broker.publish({"astronomy"}).matched == [4]
 
     def test_reentrant_subscribe_during_publish_is_buffered(self, monkeypatch):
-        # A delivery handler subscribing mid-walk must not mutate
-        # node.children under the traversal: the insert is buffered and
-        # applied after the walk, so the new subscription is not matched
-        # by the in-flight event but is by the next one.
+        # A delivery handler subscribing mid-delivery must not be matched
+        # by the in-flight event (its walk finished before delivery began)
+        # but must be matched, exactly once, by the next one.
         b = Broker()
         first = b.subscribe({"common"})
-        b.publish({"common"})  # build the tree
-        tree = b._tree
-        real_is_live = Broker._is_live
+        b.publish({"common"})
+        real_deliverable = Broker._deliverable
         added = []
 
-        def subscribing_is_live(self, sub_id):
-            if not added:
-                added.append(self.subscribe({"common"}))
-                assert self._tree is tree, "tree swapped mid-walk"
-                assert added[0] not in self._tree_members, (
-                    "reentrant subscribe mutated the tree under the walk"
-                )
-            return real_is_live(self, sub_id)
+        def subscribing_deliverable(self, candidates, walked):
+            added.append(self.subscribe({"common"}))
+            return real_deliverable(self, candidates, walked)
 
-        monkeypatch.setattr(Broker, "_is_live", subscribing_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", subscribing_deliverable)
         delivery = b.publish({"common"})
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", real_deliverable)
         assert added, "reentrant subscribe never triggered"
         # The in-flight event does not see the buffered subscription.
         assert delivery.matched == [first]
@@ -196,27 +191,28 @@ class TestIncrementalConsistency:
         assert follow_up.matched == [first, added[0]]
 
     def test_reentrant_subscribe_then_unsubscribe_mid_walk(self, monkeypatch):
-        # A buffered insert whose id is unsubscribed before the walk ends
-        # must be skipped entirely (it never reached the tree, so no
-        # tombstone may be counted for it either).
-        b = Broker()
+        # A subscription added and cancelled again during a delivery must
+        # leave the registry and the trie agreeing on the live population,
+        # count exactly one tombstone, and never be matched. (A ratio of 1
+        # keeps that single tombstone below the compaction threshold.)
+        b = Broker(compact_ratio=1.0)
         first = b.subscribe({"common"})
         b.publish({"common"})
-        real_is_live = Broker._is_live
+        real_deliverable = Broker._deliverable
         fired = []
 
-        def churn_is_live(self, sub_id):
-            if not fired:
-                doomed = self.subscribe({"common"})
-                self.unsubscribe(doomed)
-                fired.append(doomed)
-            return real_is_live(self, sub_id)
+        def churn_deliverable(self, candidates, walked):
+            doomed = self.subscribe({"common"})
+            self.unsubscribe(doomed)
+            fired.append(doomed)
+            return real_deliverable(self, candidates, walked)
 
-        monkeypatch.setattr(Broker, "_is_live", churn_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", churn_deliverable)
         b.publish({"common"})
-        monkeypatch.setattr(Broker, "_is_live", real_is_live)
+        monkeypatch.setattr(Broker, "_deliverable", real_deliverable)
         assert fired
-        assert b._tombstones == 0
+        assert len(b) == b.trie.live_count == 1
+        assert b.trie.dead_count == 1
         assert b.publish({"common"}).matched == [first]
 
     def test_randomized_against_bruteforce(self):
@@ -243,16 +239,15 @@ class TestIncrementalConsistency:
 
 class TestEmptyRegistryReset:
     def test_last_unsubscribe_drops_tree(self, broker):
-        # Draining the registry entirely must drop the stale trie, not
-        # leave it holding tombstoned paths for ids that may be reused
-        # conceptually by later subscriptions.
-        broker.publish({"sports"})  # build the tree
+        # Draining the registry entirely must compact the trie down to its
+        # root, not leave it holding tombstoned paths.
+        broker.publish({"sports"})
         for sub_id in range(4):
             broker.unsubscribe(sub_id)
         assert len(broker) == 0
-        assert broker._tree is None
-        assert broker._tombstones == 0
-        assert broker._tree_members == set()
+        assert broker.trie.tree.num_nodes == 1
+        assert broker.trie.dead_count == 0
+        assert broker.trie.live_count == 0
 
     def test_resubscribe_after_drain_matches(self, broker):
         broker.publish({"sports"})
@@ -270,7 +265,7 @@ class TestEmptyRegistryReset:
         for sub_id in range(4):
             broker.unsubscribe(sub_id)
         assert broker.publish({"sports"}).matched == []
-        assert broker._tree is None
+        assert broker.trie.tree.num_nodes == 1
 
 
 class TestMatchesCounterIsolation:
@@ -296,15 +291,23 @@ class TestMatchesCounterIsolation:
             assert reg.counters["pubsub.published"] == published
             assert reg.counters["pubsub.delivered"] == delivered
 
-    def test_matches_rebuild_counters_still_count(self):
-        # matches() may legitimately trigger a tree build — that is a
-        # real state change and stays visible; only the publish/delivery
-        # tallies are shielded.
+    def test_matches_rebuild_counters_still_count(self, monkeypatch):
+        # A compaction triggered during matches() (here by a reentrant
+        # cancel) is a real state change and stays visible; only the
+        # publish/delivery tallies are shielded.
         from repro.obs import MetricsRegistry
         from repro.obs.registry import use_registry
 
         b = Broker()
         b.subscribe({"a"})
+        doomed = b.subscribe({"a"})
+        real_deliverable = Broker._deliverable
+
+        def cancelling_deliverable(self, candidates, walked):
+            self.unsubscribe(doomed)
+            return real_deliverable(self, candidates, walked)
+
+        monkeypatch.setattr(Broker, "_deliverable", cancelling_deliverable)
         with use_registry(MetricsRegistry()) as reg:
             assert b.matches({"a"}) == [0]
             assert reg.counters.get("pubsub.rebuilds", 0) >= 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -371,6 +372,156 @@ def served_durable(tmp_path):
         thread.join(timeout=5)
         server.close()
         state.wal.close()
+
+
+class TestUnforcedPublish:
+    """Publish is logged but forces no fsync of its own (UNFORCED_OPS)."""
+
+    def test_publish_only_batch_issues_no_fsync(self, tmp_path):
+        state = DurableServeState(data_dir=str(tmp_path / "data"))
+        with use_registry(MetricsRegistry()) as reg:
+            state.handle("subscribe", {"keywords": [5, 6]}, None)
+            state.sync()
+            assert reg.counters["wal.fsyncs"] == 1
+            for __ in range(3):
+                state.handle("publish", {"keywords": [5, 6, 7]}, None)
+            state.sync()
+            assert reg.counters["wal.fsyncs"] == 1
+            assert state.wal.last_seq == 4
+            # The next forced commit covers the publishes too.
+            state.handle("append", {"record": [1, 2]}, None)
+            state.sync()
+            assert reg.counters["wal.fsyncs"] == 2
+        state.wal.close()
+
+    def test_checkpoint_forces_pending_publishes(self, tmp_path):
+        state = DurableServeState(data_dir=str(tmp_path / "data"))
+        state.handle("subscribe", {"keywords": [5]}, None)
+        state.sync()
+        with use_registry(MetricsRegistry()) as reg:
+            state.handle("publish", {"keywords": [5]}, None)
+            state.sync()
+            assert "wal.fsyncs" not in reg.counters
+            state.checkpoint()  # the snapshot must not run ahead of the log
+            assert reg.counters["wal.fsyncs"] == 1
+        state.shutdown_flush()
+
+    def test_publish_record_carries_count_and_digest(self, tmp_path):
+        d = str(tmp_path / "data")
+        state = DurableServeState(data_dir=d)
+        _apply_script(state)
+        state.wal.close()
+        raw = (tmp_path / "data" / WAL_NAME).read_bytes()
+        (publish,) = [
+            r for r in map(decode_record, raw.splitlines(keepends=True))
+            if r.op == "publish"
+        ]
+        assert set(publish.result) == {"count", "digest"}
+        assert publish.result["count"] == 1
+
+    def test_tampered_publish_digest_refused(self, tmp_path):
+        d = str(tmp_path / "data")
+        state = DurableServeState(data_dir=d)
+        _apply_script(state)
+        state.wal.close()
+        path = tmp_path / "data" / WAL_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = next(
+            i for i, line in enumerate(lines)
+            if decode_record(line).op == "publish"
+        )
+        record = decode_record(lines[at])
+        forged = WalRecord(
+            record.seq, record.generation, record.op, record.params,
+            dict(record.result, digest="0" * 64),
+        )
+        lines[at] = encode_record(forged)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(WalError, match="divergence"):
+            DurableServeState(data_dir=d)
+
+
+#: Data dirs in the earlier on-disk format (``tests/fixtures/serve_v1``):
+#: broker snapshots with a lazily built ``tree`` payload, publish records
+#: logging their full ``matched`` list. Each was written by applying its
+#: script with the given ``snapshot_every`` (one sync per op), then
+#: closing the log without a shutdown checkpoint.
+LEGACY_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "serve_v1")
+LEGACY_SCRIPTS = {
+    # Snapshot at seq 8 holds a built tree with one tombstone (sub 1).
+    "tree": (8, [
+        ("append", {"record": [1, 2, 3]}),
+        ("subscribe", {"keywords": [5, 6]}),
+        ("subscribe", {"keywords": [5]}),
+        ("subscribe", {"keywords": [6, 7]}),
+        ("publish", {"keywords": [5, 6, 7]}),
+        ("subscribe", {"keywords": [5, 7]}),
+        ("unsubscribe", {"sub_id": 1}),
+        ("append", {"record": [2, 3]}),
+        ("publish", {"keywords": [5, 6]}),
+        ("subscribe", {"keywords": [8]}),
+        ("unsubscribe", {"sub_id": 2}),
+        ("delete", {"sid": 0}),
+        ("publish", {"keywords": [5, 6, 7, 8]}),
+    ]),
+    # Snapshot at seq 4 was taken before any publish: ``tree`` is null.
+    "notree": (4, [
+        ("subscribe", {"keywords": [5, 6]}),
+        ("subscribe", {"keywords": [5]}),
+        ("append", {"record": [1, 2]}),
+        ("subscribe", {"keywords": [6, 7]}),
+        ("publish", {"keywords": [5, 6, 7]}),
+        ("unsubscribe", {"sub_id": 0}),
+        ("publish", {"keywords": [5, 6, 7]}),
+    ]),
+}
+
+
+class TestLegacyDataDir:
+    @pytest.mark.parametrize("name", sorted(LEGACY_SCRIPTS))
+    def test_parent_format_data_dir_recovers_to_control(self, tmp_path, name):
+        every, script = LEGACY_SCRIPTS[name]
+        d = str(tmp_path / name)
+        shutil.copytree(os.path.join(LEGACY_FIXTURES, name), d)
+        with open(os.path.join(d, "snapshot.json"), "rb") as handle:
+            body = json.loads(handle.read().split(b"\n", 1)[1])
+        assert "tree" in body["broker"] and "trie" not in body["broker"]
+        assert (body["broker"]["tree"] is None) == (name == "notree")
+        with open(os.path.join(d, WAL_NAME), "rb") as handle:
+            tail = [
+                decode_record(line) for line in handle
+                if decode_record(line).seq > body["seq"]
+            ]
+        assert any(
+            r.op == "publish" and "matched" in r.result for r in tail
+        ), "the fixture must replay full-list publish records"
+
+        recovered = DurableServeState(data_dir=d)
+        control = DurableServeState(data_dir=str(tmp_path / "control"))
+        _apply_script(control, script)
+        assert recovered._snapshot_seq == every
+        assert _observe(recovered) == _observe(control)
+        assert recovered.broker.subscriptions == control.broker.subscriptions
+        # Both keep serving identically, and a new snapshot is written in
+        # the current format and recovers too.
+        for op, params in PROBE_WRITES:
+            assert recovered.handle(op, dict(params), None) == control.handle(
+                op, dict(params), None
+            )
+        recovered.shutdown_flush()
+        again = DurableServeState(data_dir=d)
+        assert _observe(again) == _observe(control)
+        again.shutdown_flush()
+        control.shutdown_flush()
+
+
+#: Writes applied to a recovered legacy state and its control alike.
+PROBE_WRITES = [
+    ("subscribe", {"keywords": [5, 9]}),
+    ("publish", {"keywords": [5, 6, 7, 8, 9]}),
+    ("unsubscribe", {"sub_id": 3}),
+    ("publish", {"keywords": [5, 7, 9]}),
+]
 
 
 class TestGroupCommit:
