@@ -257,7 +257,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         scope = use_registry(registry) if registry is not None else nullcontext()
         with scope, trace_span("join.run"):
-            pairs, report = parallel_join(
+            # --count-only ships one integer per chunk instead of pairs;
+            # the workers' counters are merged into ``stats``.
+            result, report = parallel_join(
                 r_collection, s_collection, method=args.method,
                 workers=args.workers, shards=args.shards,
                 backend=args.backend, retries=args.retries,
@@ -265,9 +267,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 fallback=not args.no_fallback, return_report=True,
                 checkpoint_dir=args.checkpoint, resume=args.resume,
                 deadline=args.deadline, memory_budget=args.memory_budget,
+                collect="count" if args.count_only else "pairs", stats=stats,
             )
         stats.elapsed_seconds = time.perf_counter() - start
-        stats.results = len(pairs)
+        stats.results = result if isinstance(result, int) else len(result)
         if registry is not None:
             # This branch bypasses set_containment_join (it needs the
             # supervision report), so the join.* mirror is flushed here —
@@ -278,10 +281,10 @@ def _cmd_join(args: argparse.Namespace) -> int:
         elif report.degradations:
             for note in report.degradations:
                 print(f"# degraded: {note}", file=sys.stderr)
-        if args.count_only:
-            print(len(pairs))
+        if isinstance(result, int):
+            print(result)
         else:
-            _write_pairs(pairs, args.output)
+            _write_pairs(result, args.output)
     elif args.count_only:
         count = set_containment_join(
             r_collection, s_collection, method=args.method,

@@ -28,13 +28,14 @@ from ..obs.registry import MetricsRegistry, use_registry
 from ..obs.spans import trace_span
 from .framework import framework_join
 from .partition import all_partition_join, lcjoin
-from .results import make_sink
+from .results import PairSink, make_sink
 from .stats import JoinStats, StatsSnapshot
 from .tree_join import tree_join
 
 __all__ = [
     "set_containment_join",
     "join_methods",
+    "join_into",
     "JOIN_METHODS",
     "BACKENDS",
     "BACKEND_METHODS",
@@ -84,6 +85,48 @@ JOIN_METHODS: Dict[str, Callable] = {
 def join_methods() -> Tuple[str, ...]:
     """Registered method names, paper methods first."""
     return tuple(JOIN_METHODS)
+
+
+def join_into(
+    r_collection: SetCollection,
+    s_collection: SetCollection,
+    sink: PairSink,
+    method: str = "lcjoin",
+    stats: Optional[JoinStats] = None,
+    backend: str = "python",
+    **kwargs,
+) -> None:
+    """Run one in-process join, emitting every pair into ``sink``.
+
+    The serial core of :func:`set_containment_join`, shared with the
+    parallel driver's chunk runner (which passes a
+    :class:`~repro.core.results.ColumnSink`). ``stats`` receives the
+    method's own counters; ``results`` and ``elapsed_seconds`` are left to
+    the caller, which knows what it counts and how long it waited.
+    """
+    if method == "auto":
+        # Lazy import: the planner's estimator runs joins through this very
+        # module, so the modules are mutually recursive by design.
+        from .planner import choose_method
+
+        method = choose_method(r_collection, s_collection).method
+    try:
+        impl = JOIN_METHODS[method]
+    except KeyError:
+        raise UnknownMethodError(method, join_methods()) from None
+    if backend not in BACKENDS:
+        raise InvalidParameterError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend != "python":
+        if method not in BACKEND_METHODS:
+            raise InvalidParameterError(
+                f"backend={backend!r} is only supported by "
+                f"{sorted(BACKEND_METHODS)}; got method={method!r}"
+            )
+        kwargs["backend"] = backend
+    with trace_span("join.run"):
+        impl(r_collection, s_collection, sink, stats=stats, **kwargs)
 
 
 def set_containment_join(
@@ -208,53 +251,45 @@ def set_containment_join(
                 "pass workers= or shards= as well"
             )
     else:
-        # Lazy import: parallel_join's workers call back into this function,
+        # Lazy import: parallel_join's workers call back into this module,
         # so the modules are mutually recursive by design.
         from .parallel import parallel_join
 
+        if collect not in ("pairs", "count", "callback"):
+            raise InvalidParameterError(f"unknown collect mode {collect!r}")
+        if collect == "callback" and callback is None:
+            raise InvalidParameterError("collect='callback' requires a callback")
         knobs = {k: v for k, v in supervision.items() if v is not None}
         start = time.perf_counter()
         with trace_span("join.run"):
-            pairs = parallel_join(
+            # The driver merges the winning attempts' counters into
+            # ``stats`` and builds the pair list once; it is returned
+            # as-is, with no second pass through a sink.
+            result = parallel_join(
                 r_collection, s_collection, method=method, workers=workers,
-                shards=shards, backend=backend, **knobs, **kwargs,
+                shards=shards, backend=backend,
+                collect="count" if collect == "count" else "pairs",
+                stats=stats, **knobs, **kwargs,
             )
-        sink = make_sink(collect, callback)
-        for rid, sid in pairs:
-            sink.add(rid, sid)
+        if isinstance(result, int):
+            count = result
+        else:
+            count = len(result)
+            if callback is not None and collect == "callback":
+                for rid, sid in result:
+                    callback(rid, sid)
         if stats is not None:
             stats.elapsed_seconds += time.perf_counter() - start
-            stats.results += len(sink)
+            stats.results += count
         if reg is not None and snapshot is not None and stats is not None:
             reg.record_join_stats(snapshot.delta(stats))
-        if collect == "pairs":
-            return sink.pairs
-        return len(sink)
-    if method == "auto":
-        # Lazy import: the planner's estimator runs joins through this very
-        # function, so the modules are mutually recursive by design.
-        from .planner import choose_method
-
-        method = choose_method(r_collection, s_collection).method
-    try:
-        impl = JOIN_METHODS[method]
-    except KeyError:
-        raise UnknownMethodError(method, join_methods()) from None
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend != "python":
-        if method not in BACKEND_METHODS:
-            raise InvalidParameterError(
-                f"backend={backend!r} is only supported by "
-                f"{sorted(BACKEND_METHODS)}; got method={method!r}"
-            )
-        kwargs["backend"] = backend
+        return result if collect == "pairs" else count
     sink = make_sink(collect, callback)
     start = time.perf_counter()
-    with trace_span("join.run"):
-        impl(r_collection, s_collection, sink, stats=stats, **kwargs)
+    join_into(
+        r_collection, s_collection, sink, method=method, stats=stats,
+        backend=backend, **kwargs,
+    )
     elapsed = time.perf_counter() - start
     if stats is not None:
         stats.elapsed_seconds += elapsed

@@ -8,21 +8,39 @@ Materialising every pair is therefore a *choice*, not a given — benchmarks
 usually only need the count.
 
 All algorithms emit through a sink with a single ``add(rid, sid)`` method;
-three implementations cover the practical cases.
+three implementations cover the practical cases, and a fourth
+(:class:`ColumnSink`) collects the two id columns for the parallel driver,
+which ships each chunk's result as a :class:`ChunkResult`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..errors import InvalidParameterError
+from .stats import JoinStats
 
 __all__ = [
     "PairSink",
     "PairListSink",
     "CountSink",
     "CallbackSink",
+    "ColumnSink",
+    "ChunkResult",
     "make_sink",
     "AttemptRecord",
     "ChunkReport",
@@ -169,6 +187,92 @@ class CallbackSink:
 
     def __len__(self) -> int:
         return self.count
+
+
+class ColumnSink:
+    """Collect the rid and sid columns of the result, no pair tuples.
+
+    The parallel driver's chunk sink: ids go into two growable ``int64``
+    buffers and leave as numpy arrays (:meth:`columns`), so a worker builds
+    no per-pair object and ships 16 bytes per pair.
+    """
+
+    __slots__ = ("_rids", "_sids")
+
+    def __init__(self) -> None:
+        self._rids = array("q")
+        self._sids = array("q")
+
+    def add(self, rid: int, sid: int) -> None:
+        self._rids.append(rid)
+        self._sids.append(sid)
+
+    def add_rids(self, rids: Collection[int], sid: int) -> None:
+        """Emit ``(rid, sid)`` for every rid in ``rids``."""
+        to_list = getattr(rids, "tolist", None)
+        self._rids.extend(to_list() if to_list is not None else rids)
+        self._sids.extend(array("q", (sid,)) * len(rids))
+
+    def add_sids(self, rid: int, sids: Collection[int]) -> None:
+        """Emit ``(rid, sid)`` for every sid in ``sids``."""
+        to_list = getattr(sids, "tolist", None)
+        self._sids.extend(to_list() if to_list is not None else sids)
+        self._rids.extend(array("q", (rid,)) * len(sids))
+
+    def add_pairs(self, rids: Collection[int], sids: Collection[int]) -> None:
+        """Emit ``(rid, sid)`` for every aligned pair in ``rids``/``sids``."""
+        for column, ids in ((self._rids, rids), (self._sids, sids)):
+            to_list = getattr(ids, "tolist", None)
+            column.extend(to_list() if to_list is not None else ids)
+
+    def __len__(self) -> int:
+        return len(self._rids)
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(rids, sids)`` columns as ``int64`` arrays (copies)."""
+        return (
+            np.array(self._rids, dtype=np.int64),
+            np.array(self._sids, dtype=np.int64),
+        )
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)  # shared by every count-only result
+
+
+@dataclass(eq=False)
+class ChunkResult:
+    """One settled chunk of a parallel join, as it crosses processes.
+
+    ``rids``/``sids`` are aligned ``int64`` columns with *global* record
+    ids; a count-only chunk leaves them empty and carries only ``count``.
+    ``stats`` holds the worker's algorithm counters (``None`` for a chunk
+    loaded from a checkpoint spill, which did no work in this run).
+    Iterating yields the shipped ``(rid, sid)`` pairs.
+    """
+
+    rids: np.ndarray = field(default_factory=lambda: _NO_IDS)
+    sids: np.ndarray = field(default_factory=lambda: _NO_IDS)
+    count: int = 0
+    stats: Optional[JoinStats] = None
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "ChunkResult":
+        """The columns of a plain ``(rid, sid)`` sequence."""
+        flat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls(
+            np.ascontiguousarray(flat[:, 0]),
+            np.ascontiguousarray(flat[:, 1]),
+            len(flat),
+        )
+
+    @property
+    def has_pairs(self) -> bool:
+        """True unless this is a count-only result with a nonzero count."""
+        return len(self.rids) == self.count
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.rids.tolist(), self.sids.tolist())
 
 
 # --------------------------------------------------------------------------

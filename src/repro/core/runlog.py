@@ -7,7 +7,9 @@ holds:
 ``MANIFEST.json``
     Written atomically **before** any chunk is dispatched (write-ahead): the
     run id, SHA-256 fingerprints of both input collections, the join
-    parameters, and the chunk split. Resume refuses with
+    parameters, and the chunk split (strategy, chunk count, and for the
+    ``partition`` strategy the planned anchor-to-chunk assignment, so resume
+    rebuilds the identical chunks without planning again). Resume refuses with
     :class:`~repro.errors.ResumeMismatchError` unless all of them match the
     resuming call — spilled pairs are only trusted for the exact join that
     produced them.
@@ -59,6 +61,8 @@ from dataclasses import asdict, dataclass
 from types import FrameType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..data.collection import SetCollection
 from ..errors import (
     CheckpointError,
@@ -68,6 +72,7 @@ from ..errors import (
 from ..faults import CRASH_EXIT_CODE, FaultPlan
 from ..obs.registry import active_or_null
 from ..obs.spans import trace_span
+from .results import ChunkResult
 
 __all__ = [
     "RunManifest",
@@ -159,6 +164,10 @@ class RunManifest:
     n_records: int
     created: float
     format: int = _MANIFEST_FORMAT
+    #: The planned ``partition`` split as ``(anchor, chunk)`` pairs (see
+    #: :func:`repro.core.parallel.plan_partition_split`); ``None`` for the
+    #: other strategies and for manifests written before the field existed.
+    split: Optional[List[Tuple[int, int]]] = None
 
     def to_bytes(self) -> bytes:
         return json.dumps(asdict(self), indent=2, sort_keys=True).encode("utf-8")
@@ -188,6 +197,11 @@ class RunManifest:
                 num_chunks=int(data["num_chunks"]),
                 n_records=int(data["n_records"]),
                 created=float(data["created"]),
+                split=(
+                    None
+                    if data.get("split") is None
+                    else [(int(a), int(c)) for a, c in data["split"]]
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt run manifest: {exc!r}") from exc
@@ -229,15 +243,29 @@ class RunManifest:
 # -- spill encoding --------------------------------------------------------
 
 
-def _encode_spill(chunk_id: int, pairs: Sequence[Pair]) -> bytes:
-    body = "".join(f"{rid} {sid}\n" for rid, sid in pairs).encode("ascii")
+def _spill_body(rids: np.ndarray, sids: np.ndarray) -> bytes:
+    """One ``"rid sid\n"`` line per pair, formatted in a single call."""
+    flat = np.empty(2 * len(rids), dtype=np.int64)
+    flat[0::2] = rids
+    flat[1::2] = sids
+    return (("%d %d\n" * len(rids)) % tuple(flat.tolist())).encode("ascii")
+
+
+def _encode_spill(chunk_id: int, rids: np.ndarray, sids: np.ndarray) -> bytes:
+    body = _spill_body(rids, sids)
     checksum = hashlib.sha256(body).hexdigest()
-    header = f"{_SPILL_MAGIC} {chunk_id} {len(pairs)} {checksum}\n".encode("ascii")
+    header = f"{_SPILL_MAGIC} {chunk_id} {len(rids)} {checksum}\n".encode("ascii")
     return header + body
 
 
-def _decode_spill(raw: bytes, expected_chunk: int) -> List[Pair]:
-    """Parse and verify one spill; any defect raises :class:`CheckpointError`."""
+def _decode_spill(raw: bytes, expected_chunk: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Parse and verify one spill into its ``(rids, sids)`` columns.
+
+    Any defect raises :class:`CheckpointError`. Beyond the checksum, the
+    columns must re-encode to exactly the stored payload, so only a
+    payload this module wrote (well-formed lines, header count) is
+    accepted.
+    """
     newline = raw.find(b"\n")
     if newline < 0:
         raise CheckpointError("spill has no header line")
@@ -256,17 +284,20 @@ def _decode_spill(raw: bytes, expected_chunk: int) -> List[Pair]:
     body = raw[newline + 1 :]
     if hashlib.sha256(body).hexdigest() != fields[3]:
         raise CheckpointError("spill checksum mismatch (torn or corrupt write)")
-    pairs: List[Pair] = []
-    for line in body.splitlines():
-        parts = line.split()
-        if len(parts) != 2:
-            raise CheckpointError("spill payload line is malformed")
-        pairs.append((int(parts[0]), int(parts[1])))
-    if len(pairs) != count:
+    with warnings.catch_warnings():
+        # A malformed payload stops the parse early with a warning; the
+        # length and re-encode checks below turn that into the error.
+        warnings.simplefilter("ignore")
+        flat = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(flat) != 2 * count:
         raise CheckpointError(
-            f"spill payload holds {len(pairs)} pairs, header promises {count}"
+            f"spill payload holds {len(flat) / 2:g} pairs, header promises {count}"
         )
-    return pairs
+    rids = np.ascontiguousarray(flat[0::2])
+    sids = np.ascontiguousarray(flat[1::2])
+    if _spill_body(rids, sids) != body:
+        raise CheckpointError("spill payload line is malformed")
+    return rids, sids
 
 
 # -- run log ---------------------------------------------------------------
@@ -362,8 +393,16 @@ class RunLog:
 
     # -- spills ------------------------------------------------------------
 
-    def record_chunk(self, chunk_id: int, attempt: int, pairs: Sequence[Pair]) -> None:
-        """Durably spill one settled chunk's (global-id) pair list.
+    def record_chunk(
+        self,
+        chunk_id: int,
+        attempt: int,
+        result: Union[ChunkResult, Sequence[Pair]],
+    ) -> None:
+        """Durably spill one settled chunk's (global-id) pairs.
+
+        ``result`` is the chunk's :class:`ChunkResult` (its columns are
+        written as they are) or a plain ``(rid, sid)`` sequence.
 
         Consults the fault plan for driver-stage actions; a real ``OSError``
         (or an injected ``diskfull``) disables further checkpointing for
@@ -373,7 +412,13 @@ class RunLog:
             return
         rule = None if self._plan is None else self._plan.rule_for_checkpoint(chunk_id, attempt)
         metrics = active_or_null()
-        payload = _encode_spill(chunk_id, pairs)
+        if not isinstance(result, ChunkResult):
+            result = ChunkResult.from_pairs(result)
+        if not result.has_pairs:
+            raise CheckpointError(
+                f"chunk {chunk_id} carries only a count; a spill needs its pairs"
+            )
+        payload = _encode_spill(chunk_id, result.rids, result.sids)
         path = self.chunk_path(chunk_id)
         try:
             with trace_span("checkpoint.write"):
@@ -410,8 +455,9 @@ class RunLog:
             # "driver crashed between two settles" point for resume tests.
             os._exit(CRASH_EXIT_CODE)
 
-    def load_chunks(self) -> Tuple[Dict[int, List[Pair]], List[int]]:
-        """Verified spills plus the chunk ids discarded as torn/corrupt.
+    def load_chunks(self) -> Tuple[Dict[int, ChunkResult], List[int]]:
+        """Verified spills (as columns) plus the chunk ids discarded as
+        torn/corrupt.
 
         Stray temp files from interrupted atomic writes are removed; any
         spill that fails magic/checksum/count validation is deleted so the
@@ -419,7 +465,7 @@ class RunLog:
         the first step of a new attempt at the run.
         """
         metrics = active_or_null()
-        completed: Dict[int, List[Pair]] = {}
+        completed: Dict[int, ChunkResult] = {}
         discarded: List[int] = []
         with trace_span("checkpoint.resume"):
             for name in sorted(os.listdir(self.directory)):
@@ -439,7 +485,8 @@ class RunLog:
                     if not 0 <= chunk_id < self.manifest.num_chunks:
                         raise CheckpointError(f"spill {name!r} names no known chunk")
                     with open(path, "rb") as handle:
-                        completed[chunk_id] = _decode_spill(handle.read(), chunk_id)
+                        rids, sids = _decode_spill(handle.read(), chunk_id)
+                    completed[chunk_id] = ChunkResult(rids, sids, len(rids))
                 except (CheckpointError, OSError):
                     if chunk_id >= 0:
                         discarded.append(chunk_id)

@@ -75,7 +75,7 @@ from ..faults import (
 )
 from ..obs.registry import active_or_null
 from ..obs.spans import trace_span
-from .results import AttemptRecord, ChunkReport, JoinReport, ShardReport
+from .results import AttemptRecord, ChunkReport, ChunkResult, JoinReport, ShardReport
 from .runlog import CancelToken
 from .supervisor import interruptible_wait
 
@@ -86,8 +86,7 @@ _KILL_GRACE = 1.0
 
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
 _Job = Tuple[Any, ...]
-_Pairs = List[Tuple[int, int]]
-_Runner = Callable[[_Job], _Pairs]
+_Runner = Callable[[_Job], ChunkResult]
 _JobFactory = Callable[[int, str], _Job]
 _RidMap = Union[int, List[int]]
 
@@ -165,6 +164,7 @@ def _shard_main(
     kwargs: Dict[str, Any],
     plan: Optional[FaultPlan],
     heartbeat_interval: float,
+    collect: str,
 ) -> None:
     """Shard-node entry: build an index, then serve jobs until told to stop.
 
@@ -246,9 +246,9 @@ def _shard_main(
                 job: _Job = (
                     rid_map, piece, s_collection, method, backend,
                     ("direct", index) if index is not None else None,
-                    extra, kwargs,
+                    extra, kwargs, collect,
                 )
-                pairs = _join_chunk(job)
+                result = _join_chunk(job)
             except BaseException as exc:  # noqa: B036 - forwarded, not swallowed
                 try:
                     with send_lock:
@@ -260,7 +260,7 @@ def _shard_main(
                 continue
             try:
                 with send_lock:
-                    conn.send(("done", chunk_id, attempt, pairs))
+                    conn.send(("done", chunk_id, attempt, result))
             except OSError:
                 return
     finally:
@@ -332,7 +332,8 @@ class ShardCoordinator:
     shard-specific knobs live in :class:`ShardPolicy`. ``make_job`` and
     ``runner`` are only used for the in-process ``local`` degradation
     terminus — regular dispatches ship ``(rid_map, piece)`` to a node over
-    its pipe and the node builds everything else itself.
+    its pipe and the node builds everything else itself. ``collect`` is
+    forwarded to every node: ``"count"`` makes nodes ship only counts.
     """
 
     def __init__(
@@ -352,10 +353,11 @@ class ShardCoordinator:
         plan: Optional[FaultPlan] = None,
         make_job: Optional[_JobFactory] = None,
         runner: Optional[_Runner] = None,
-        on_result: Optional[Callable[[int, int, _Pairs], None]] = None,
+        on_result: Optional[Callable[[int, int, ChunkResult], None]] = None,
         cancel: Optional[CancelToken] = None,
         deadline_mark: Optional[float] = None,
-        completed: Optional[Dict[int, _Pairs]] = None,
+        completed: Optional[Dict[int, ChunkResult]] = None,
+        collect: str = "pairs",
     ) -> None:
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
@@ -377,6 +379,7 @@ class ShardCoordinator:
         self._make_job = make_job
         self._runner = runner
         self._on_result = on_result
+        self._collect = collect
         self._cancel = cancel
         self._deadline_mark = deadline_mark
         self._metrics = active_or_null()
@@ -384,7 +387,7 @@ class ShardCoordinator:
         self._nodes = [_Node(shard_id) for shard_id in range(shards)]
         self._states = [_ChunkState(i) for i in range(len(chunks))]
         self._pending: List[_ChunkState] = []
-        self._results: Dict[int, _Pairs] = {}
+        self._results: Dict[int, ChunkResult] = {}
         self._durations: List[float] = []
         self._restarts_used = 0
         budget = policy.restart_budget
@@ -397,8 +400,8 @@ class ShardCoordinator:
             workers=shards,
             fault_plan=plan.describe() if plan is not None else None,
         )
-        for chunk_id, pairs in (completed or {}).items():
-            self._results[chunk_id] = pairs
+        for chunk_id, result in (completed or {}).items():
+            self._results[chunk_id] = result
             self.report.chunks[chunk_id].attempts.append(
                 AttemptRecord(
                     number=0, mode="checkpoint", outcome="resumed", duration=0.0
@@ -412,7 +415,7 @@ class ShardCoordinator:
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> Dict[int, _Pairs]:
+    def run(self) -> Dict[int, ChunkResult]:
         """Drive every chunk to settlement; returns results by chunk id."""
         start = time.perf_counter()
         try:
@@ -446,6 +449,7 @@ class ShardCoordinator:
                 self._kwargs,
                 self._plan,
                 self._policy.heartbeat_interval,
+                self._collect,
             ),
             daemon=True,
         )
@@ -644,7 +648,7 @@ class ShardCoordinator:
         )
 
     def _settle(
-        self, node: _Node, assignment: _Assignment, pairs: _Pairs, now: float
+        self, node: _Node, assignment: _Assignment, result: ChunkResult, now: float
     ) -> None:
         state = self._states[assignment.chunk_id]
         duration = now - assignment.started
@@ -661,14 +665,14 @@ class ShardCoordinator:
                 )
         state.inflight = []
         self._record(state, assignment, "ok", duration)
-        self._results[state.chunk_id] = pairs
+        self._results[state.chunk_id] = result
         self._metrics.inc("shard.settled")
         node.report.settled.append(state.chunk_id)
         if assignment.speculative:
             self._metrics.inc("shard.speculation_wins")
             self.report.speculation_wins.append(state.chunk_id)
         if self._on_result is not None:
-            self._on_result(state.chunk_id, assignment.attempt, pairs)
+            self._on_result(state.chunk_id, assignment.attempt, result)
 
     def _chunk_failed(
         self, state: _ChunkState, outcome: str, error: str, now: float
@@ -701,7 +705,7 @@ class ShardCoordinator:
             raise WorkerFailedError(
                 state.chunk_id, state.attempts, state.last_error
             )  # pragma: no cover - parallel_join always wires both
-        pairs = self._runner(self._make_job(state.chunk_id, "local"))
+        result = self._runner(self._make_job(state.chunk_id, "local"))
         self.report.chunks[state.chunk_id].attempts.append(
             AttemptRecord(
                 number=state.attempts,
@@ -710,9 +714,9 @@ class ShardCoordinator:
                 duration=time.monotonic() - started,
             )
         )
-        self._results[state.chunk_id] = pairs
+        self._results[state.chunk_id] = result
         if self._on_result is not None:
-            self._on_result(state.chunk_id, state.attempts, pairs)
+            self._on_result(state.chunk_id, state.attempts, result)
 
     # -- message pump ------------------------------------------------------
 

@@ -62,7 +62,7 @@ from ..errors import (
 from ..faults import FaultPlan
 from ..obs.registry import active_or_null
 from ..obs.spans import trace_span
-from .results import AttemptRecord, ChunkReport, JoinReport
+from .results import AttemptRecord, ChunkReport, ChunkResult, JoinReport
 from .runlog import CancelToken
 
 __all__ = ["Supervisor", "SHM_FAILURE_THRESHOLD", "interruptible_wait"]
@@ -115,7 +115,7 @@ def interruptible_wait(
 
 #: A job tuple as consumed by ``repro.core.parallel._join_chunk``.
 _Job = Tuple[Any, ...]
-_Runner = Callable[[_Job], List[Tuple[int, int]]]
+_Runner = Callable[[_Job], ChunkResult]
 #: Builds the job for (chunk_id, mode); runs in the parent only.
 _JobFactory = Callable[[int, str], _Job]
 
@@ -131,7 +131,7 @@ def _worker_main(
 ) -> None:
     """Worker-process entry: run one chunk attempt, report on the pipe.
 
-    Every outcome funnels into exactly one message — ``("ok", pairs)`` or
+    Every outcome funnels into exactly one message — ``("ok", result)`` or
     ``("err", type_name, text, is_attach_failure)`` — or, for a crash, no
     message at all (the parent reads EOF and the exit code). Fault rules
     fire here, in the worker, so an injected crash takes down a real
@@ -221,7 +221,7 @@ class Supervisor:
     plan:
         Optional :class:`~repro.faults.FaultPlan` shipped to workers.
     on_result:
-        Called as ``on_result(chunk_id, attempt, pairs)`` the moment a
+        Called as ``on_result(chunk_id, attempt, result)`` the moment a
         chunk settles ok (worker or fallback). The durable-run layer wires
         this to ``RunLog.record_chunk`` so results stream to disk as they
         arrive instead of at join end.
@@ -253,10 +253,10 @@ class Supervisor:
         fallback: bool = True,
         plan: Optional[FaultPlan] = None,
         chunk_sizes: Optional[List[int]] = None,
-        on_result: Optional[Callable[[int, int, List[Tuple[int, int]]], None]] = None,
+        on_result: Optional[Callable[[int, int, ChunkResult], None]] = None,
         cancel: Optional[CancelToken] = None,
         deadline_at: Optional[float] = None,
-        completed: Optional[Dict[int, List[Tuple[int, int]]]] = None,
+        completed: Optional[Dict[int, ChunkResult]] = None,
     ) -> None:
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0, got {retries}")
@@ -284,7 +284,7 @@ class Supervisor:
         self._mp = multiprocessing.get_context()
         self._tasks = [_Task(chunk_id=i, mode=primary_mode) for i in range(num_chunks)]
         self._running: List[_Attempt] = []
-        self._results: Dict[int, List[Tuple[int, int]]] = {}
+        self._results: Dict[int, ChunkResult] = {}
         self._shm_failures = 0
         self._shm_disabled = primary_mode != "shm"
         sizes = chunk_sizes if chunk_sizes is not None else [0] * num_chunks
@@ -293,11 +293,11 @@ class Supervisor:
             workers=workers,
             fault_plan=plan.describe() if plan is not None else None,
         )
-        for chunk_id, pairs in (completed or {}).items():
+        for chunk_id, result in (completed or {}).items():
             # Resumed chunks are settled before the loop starts: seeded into
             # the result map so dispatch skips them, with a synthetic
             # attempt record so the report's trail shows the provenance.
-            self._results[chunk_id] = pairs
+            self._results[chunk_id] = result
             self.report.chunks[chunk_id].attempts.append(
                 AttemptRecord(
                     number=0, mode="checkpoint", outcome="resumed", duration=0.0
@@ -308,7 +308,7 @@ class Supervisor:
 
     # -- public entry ------------------------------------------------------
 
-    def run(self) -> Dict[int, List[Tuple[int, int]]]:
+    def run(self) -> Dict[int, ChunkResult]:
         """Execute every chunk to completion; returns results by chunk id.
 
         Raises only when a chunk cannot be completed at all: fallback
@@ -430,7 +430,7 @@ class Supervisor:
     def _poll(self, attempt: _Attempt) -> Optional[Tuple[str, Any]]:
         """Classify a finished attempt, or ``None`` if still running.
 
-        Returns ``("ok", pairs)``, ``("err", (type, text, attach_flag))``,
+        Returns ``("ok", result)``, ``("err", (type, text, attach_flag))``,
         ``("crash", exitcode)`` or ``("timeout", deadline_seconds)``.
         """
         if attempt.conn.poll():

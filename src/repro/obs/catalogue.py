@@ -33,7 +33,7 @@ SPAN_CATALOGUE = frozenset(
         "probe.loop",  # the cross-cutting probe loop over R's records
         "parallel.supervise",  # the supervisor's dispatch/retry event loop
         "shard.dispatch",  # the shard coordinator's assign/heartbeat/respawn loop
-        "shard.merge",  # merging settled shard results in chunk-id order
+        "parallel.merge",  # concatenating settled chunk columns in chunk-id order
         "checkpoint.write",  # one durable chunk spill (temp → fsync → rename)
         "checkpoint.resume",  # scanning/validating spills on a resumed run
         "pubsub.rebuild",  # broker subscription-trie compaction
