@@ -40,6 +40,10 @@ def bnl_join(
     intersect = intersect_sorted if gallop else intersect_sorted_merge
     touched = 0
     for rid, record in enumerate(r_collection):
+        if not record:
+            # The empty set (validate=False) is contained in every set.
+            sink.add_sids(rid, index.universe)
+            continue
         lists = sorted(index.get_lists(record), key=len)
         if not lists or not lists[0]:
             continue

@@ -115,6 +115,10 @@ def pie_join(
     searches = 0
     touched = 0
     for rid, record in enumerate(r_collection):
+        if not record:
+            # The empty set (validate=False) is contained in every set.
+            sink.add_sids(rid, range(len(s_collection)))
+            continue
         ordered = order.sort_record(record)
         # Current chain frontier: disjoint intervals, sorted by start.
         cur_starts, cur_ends = index.intervals_of(ordered[0])

@@ -43,6 +43,10 @@ def psj_join(
         )
     r_buckets: Dict[int, List[int]] = {}
     for rid, record in enumerate(r_collection):
+        if not record:
+            # The empty set (validate=False) is contained in every set.
+            sink.add_sids(rid, range(len(s_collection)))
+            continue
         b = _bucket_of(record[0], num_partitions)
         r_buckets.setdefault(b, []).append(rid)
 

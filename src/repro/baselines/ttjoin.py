@@ -142,6 +142,10 @@ def tt_join(
         order = build_order(s_collection, kind="freq_asc", universe=universe)
 
     sig_root, sig_nodes = _build_sig_tree(r_collection, order, k)
+    # Empty sets (validate=False) end at the signature root, which the
+    # traversal below never matches; each is contained in every S set.
+    for rid in sig_root.end_rids or ():
+        sink.add_sids(rid, range(len(s_collection)))
     s_tree = PrefixTree.build(s_collection, order)
     flat_sids, spans = _sid_spans(s_tree)
     if stats is not None:

@@ -74,10 +74,8 @@ def _sample_r(
         return r_collection
     rng = random.Random(seed)
     picked = rng.sample(range(n), sample_size)
-    return SetCollection(
-        (r_collection[i] for i in picked),
-        dictionary=r_collection.dictionary,
-        validate=False,
+    return SetCollection._trusted(
+        [r_collection[i] for i in picked], dictionary=r_collection.dictionary
     )
 
 

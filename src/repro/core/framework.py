@@ -153,6 +153,11 @@ def framework_join(
             with trace_span("index.hybrid_pack"):
                 index = HybridInvertedIndex.from_csr(index)
         with trace_span("probe.loop"):
+            # The kernels skip records with nothing to probe; an empty one
+            # (validate=False) is contained in every set.
+            for rid, record in enumerate(r_collection):
+                if not record:
+                    sink.add_sids(rid, index.universe)
             if isinstance(index, HybridInvertedIndex):
                 cross_cut_collection_hybrid(r_collection, index, sink, stats)
             else:
@@ -170,6 +175,10 @@ def framework_join(
     skipped = 0
     with trace_span("probe.loop"):
         for rid, record in enumerate(r_collection):
+            if not record:
+                # The empty set (validate=False) is contained in every set.
+                sink.add_sids(rid, index.universe)
+                continue
             lists = index.get_lists(record)
             # A record with an element absent from S has an empty list and can
             # never find a superset; skip it before entering the loop.

@@ -321,7 +321,7 @@ def split_collection(
     if strategy == "contiguous":
         size = (n + chunks - 1) // chunks
         for lo in range(0, n, size):
-            piece = SetCollection(records[lo: lo + size], validate=False)
+            piece = SetCollection._trusted(records[lo: lo + size])
             out.append((lo, piece))
         return out
     if strategy == "round_robin":
@@ -338,7 +338,7 @@ def split_collection(
             "expected 'contiguous', 'round_robin' or 'partition'"
         )
     for rids in rid_lists:
-        piece = SetCollection((records[i] for i in rids), validate=False)
+        piece = SetCollection._trusted([records[i] for i in rids])
         out.append((rids, piece))
     return out
 

@@ -58,17 +58,33 @@ def _prepare(
             "repack per partition internally"
         )
     if index is None:
-        index = InvertedIndex.build(s_collection)
+        with trace_span("index.build"):
+            index = InvertedIndex.build(s_collection)
         if stats is not None:
             stats.index_build_tokens += index.construction_cost
     if order is None:
         universe = max(r_collection.max_element(), s_collection.max_element()) + 1
-        order = build_order(s_collection, universe=universe)
+        with trace_span("order.build"):
+            order = build_order(s_collection, universe=universe)
     if tree is None:
-        tree = PrefixTree.build(r_collection, order)
+        with trace_span("tree.build"):
+            tree = PrefixTree.build(r_collection, order)
     if stats is not None:
         stats.tree_nodes += tree.num_nodes
     return order, index, tree
+
+
+def _join_empty_sets(tree: PrefixTree, index: InvertedIndex, sink) -> None:
+    """Pair the empty sets of ``R`` with every set the index covers.
+
+    Empty sets (only possible with ``validate=False``) end at an end-marker
+    under the root, which belongs to no partition; each is contained in
+    every ``S`` set.
+    """
+    children = tree.root.children
+    if children and children[0].terminal_rids is not None:
+        for rid in children[0].terminal_rids:
+            sink.add_sids(rid, index.universe)
 
 
 def _pack_index(index: InvertedIndex, backend: str):
@@ -91,19 +107,14 @@ def _pack_index(index: InvertedIndex, backend: str):
 def partition_sizes(tree: PrefixTree) -> List[Tuple[int, int, TreeNode]]:
     """``(num_sets, anchor_element, subtree)`` for every partition of ``R``.
 
-    ``num_sets`` counts the R sets in the subtree (end-marker rid lists).
+    ``num_sets`` counts the R sets in the subtree, as the tree tallied
+    them per anchor while it was built.
     """
-    out = []
-    for anchor, subtree in tree.partition_roots():
-        count = 0
-        stack = [subtree]
-        while stack:
-            node = stack.pop()
-            if node.terminal_rids is not None:
-                count += len(node.terminal_rids)
-            stack.extend(node.children)
-        out.append((count, anchor, subtree))
-    return out
+    counts = tree.partition_counts
+    return [
+        (counts[anchor], anchor, subtree)
+        for anchor, subtree in tree.partition_roots()
+    ]
 
 
 def _run_partition_local(
@@ -153,6 +164,7 @@ def all_partition_join(
     results are identical across backends).
     """
     __, index, tree = _prepare(r_collection, s_collection, order, index, tree, stats)
+    _join_empty_sets(tree, index, sink)
     for anchor, subtree in tree.partition_roots():
         _run_partition_local(
             subtree, anchor, tree, index, s_collection, sink,
@@ -189,6 +201,7 @@ def lcjoin(
     n_total = len(index.universe)
     if n_total == 0:
         return
+    _join_empty_sets(tree, index, sink)
     probe_index = _pack_index(index, backend)
     ordered = sorted(partition_sizes(tree), key=lambda item: item[0])
     streak = 0

@@ -46,6 +46,18 @@ Implementation notes — where we deviate from the pseudo-code and why:
 * **End-marker leaves** probe the index universe, so a leaf probe always
   hits and duplicate/prefix sets need no special cases (see
   :mod:`repro.index.prefix_tree`).
+* **Int views on every backend.** A node binds ``index.int_span(e)``:
+  a sequence and the ``[lo, hi)`` range of it holding ``e``'s list, with
+  the cursor starting at ``lo`` and ``hi`` bounding every probe. On the
+  python index that is the list itself; on the CSR/hybrid backends it is
+  one ``memoryview`` over the postings array, shared by every node, so
+  binding copies and allocates nothing, and ``bisect`` and the neighbour
+  reads get Python ints where a numpy view would box numpy scalars. The
+  view is made once per index and released by the index's ``close()``,
+  before a shared-memory segment under it is unmapped.
+* **Bulk tree build.** :meth:`PrefixTree.build` lays the tree down in one
+  sweep over the sorted sets with the cyclic collector paused (see
+  :mod:`repro.index.prefix_tree`).
 * **Early termination (Algorithm 4)** re-runs the traversal *of the same
   node* while its candidate misses its own list, so a miss never climbs to
   the parent; with the frame stack this is a frame reset rather than a
@@ -83,23 +95,26 @@ def bind_tree(tree: PrefixTree, index: InvertedIndex, subtree: Optional[TreeNode
     first_sid = universe[0] if len(universe) else index.inf_sid
     root = subtree if subtree is not None else tree.root
     stack = [root]
-    lists = index.lists
+    span = index.int_span
     while stack:
         node = stack.pop()
         elements = node.elements
         if elements:
-            node.inv = lists.get(elements[0], _EMPTY)
+            node.inv, node.cur, node.end = span(elements[0])
             if len(elements) > 1:
                 # Merged Patricia node: extra lists beyond the first.
-                node.more_invs = [lists.get(e, _EMPTY) for e in elements[1:]]
-                node.more_curs = [0] * (len(elements) - 1)
+                more = [span(e) for e in elements[1:]]
+                node.more_invs = [m[0] for m in more]
+                node.more_curs = [m[1] for m in more]
+                node.more_ends = [m[2] for m in more]
             else:
                 node.more_invs = None
         else:
             # Root and end-marker leaves match every id the index covers.
             node.inv = universe
+            node.cur = 0
+            node.end = len(universe)
             node.more_invs = None
-        node.cur = 0
         node.max_sid = _BOTTOM
         node.next_max = first_sid
         node.rid_list = _EMPTY
@@ -107,6 +122,10 @@ def bind_tree(tree: PrefixTree, index: InvertedIndex, subtree: Optional[TreeNode
         if len(children) == 1:
             # Chain nodes bypass the heap entirely (the common trie case).
             node.only_child = children[0]
+        elif not children:
+            # Leaves never push a child: share one empty heap.
+            node.only_child = None
+            node.heap = _EMPTY
         else:
             node.only_child = None
             # Children keyed by their candidate; id() breaks ties (nodes do
@@ -130,29 +149,32 @@ def _probe_node(node: TreeNode, candidate: int, inf_sid: int) -> Tuple[bool, int
     best = -1
     searches = 1
     lst = node.inv
-    pos = bisect_left(lst, candidate, node.cur)
+    end = node.end
+    pos = bisect_left(lst, candidate, node.cur, end)
     node.cur = pos
-    if pos == len(lst):
+    if pos == end:
         return False, inf_sid, searches
     sid = lst[pos]
     if sid != candidate:
         return False, sid, searches
-    best = lst[pos + 1] if pos + 1 < len(lst) else inf_sid
+    best = lst[pos + 1] if pos + 1 < end else inf_sid
     more_invs = node.more_invs
     more_curs = node.more_curs
+    more_ends = node.more_ends
     for i in range(len(more_invs)):
         lst = more_invs[i]
-        pos = bisect_left(lst, candidate, more_curs[i])
+        end = more_ends[i]
+        pos = bisect_left(lst, candidate, more_curs[i], end)
         more_curs[i] = pos
         searches += 1
-        if pos == len(lst):
+        if pos == end:
             return False, inf_sid, searches
         sid = lst[pos]
         if sid != candidate:
             if sid > best:
                 best = sid
             return False, best, searches
-        gap = lst[pos + 1] if pos + 1 < len(lst) else inf_sid
+        gap = lst[pos + 1] if pos + 1 < end else inf_sid
         if gap > best:
             best = gap
     return True, best, searches
@@ -230,17 +252,18 @@ def postorder_traverse(
         elif node.more_invs is None:
             # Ordinary prefix-tree node: one inverted list, probed inline.
             lst = node.inv
-            pos = bisect_left(lst, candidate, node.cur)
+            end = node.end
+            pos = bisect_left(lst, candidate, node.cur, end)
             node.cur = pos
             searches += 1
-            if pos == len(lst):
+            if pos == end:
                 hit = False
                 gap = inf_sid
             else:
                 sid = lst[pos]
                 if sid == candidate:
                     hit = True
-                    gap = lst[pos + 1] if pos + 1 < len(lst) else inf_sid
+                    gap = lst[pos + 1] if pos + 1 < end else inf_sid
                 else:
                     hit = False
                     gap = sid
@@ -324,9 +347,7 @@ def run_tree_join(
         while root.max_sid < inf_sid:
             rounds += 1
             postorder_traverse(root, first_sid, inf_sid, early_termination, stats)
-            # int() keeps emitted sids plain Python ints even when the bound
-            # lists are numpy views (CSR backend hands back numpy scalars).
-            sid = int(root.max_sid)
+            sid = root.max_sid
             if sid < inf_sid and root.rid_list:
                 sink.add_rids(root.rid_list, sid)
     if stats is not None:
@@ -357,13 +378,13 @@ def tree_join(
 
     ``backend="csr"`` binds the tree against a
     :class:`~repro.index.storage.CSRInvertedIndex`: node lists become
-    zero-copy numpy views over one contiguous postings array, which is what
+    zero-copy int views over one contiguous postings array, which is what
     allows a parallel driver to share a single index across workers. The
     traversal itself is unchanged (it is inherently pointer-chasing; the
     vectorized wins live in the flat framework — see docs/internals.md).
     ``backend="hybrid"`` behaves identically here — the traversal probes
-    through ``get_list`` views either way — but accepts and shares the
-    hybrid index so one build can serve both tree and framework runs.
+    through the same int views — but accepts and shares the hybrid index
+    so one build can serve both tree and framework runs.
     """
     if index is None:
         with trace_span("index.build"):

@@ -117,6 +117,23 @@ class SetCollection:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _trusted(
+        cls,
+        records: List[Tuple[int, ...]],
+        dictionary: Optional[ElementDictionary] = None,
+    ) -> "SetCollection":
+        """Adopt records that are already normalised, without a copy.
+
+        For records taken from another collection (sorted, duplicate-free
+        int tuples): the list is adopted as it is, with no re-sort and no
+        check. The caller hands it over and must not mutate it afterwards.
+        """
+        collection = cls.__new__(cls)
+        collection._records = records
+        collection._dictionary = dictionary
+        return collection
+
+    @classmethod
     def from_iterable(
         cls,
         sets: Iterable[Iterable[Hashable]],
@@ -204,8 +221,11 @@ class SetCollection:
         return freq
 
     def max_element(self) -> int:
-        """Largest element id present, or ``-1`` for an empty collection."""
-        return max((rec[-1] for rec in self._records), default=-1)
+        """Largest element id present, or ``-1`` when there is none.
+
+        Empty records (admitted by ``validate=False``) hold no element.
+        """
+        return max((rec[-1] for rec in self._records if rec), default=-1)
 
     def total_tokens(self) -> int:
         """Total number of element occurrences, ``Σ|S|`` in the cost model."""
@@ -246,10 +266,8 @@ class SetCollection:
         order = list(range(len(self._records)))
         random.Random(seed).shuffle(order)
         keep = sorted(order[: max(1, int(len(order) * fraction))])
-        return SetCollection(
-            (self._records[i] for i in keep),
-            dictionary=self._dictionary,
-            validate=False,
+        return SetCollection._trusted(
+            [self._records[i] for i in keep], dictionary=self._dictionary
         )
 
     def decode_record(self, idx: int) -> List[Hashable]:

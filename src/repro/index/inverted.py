@@ -207,6 +207,11 @@ class InvertedIndex:
         get = self.lists.get
         return [get(e, EMPTY_LIST) for e in elements]
 
+    def int_span(self, element: int) -> Tuple[Sequence[int], int, int]:
+        """Element's list as ``(seq, lo, hi)``: here the whole list."""
+        lst = self.lists.get(element, EMPTY_LIST)
+        return lst, 0, len(lst)
+
     @property
     def construction_cost(self) -> int:
         """Tokens touched while building — ``Σ|S|`` in the paper's cost model."""

@@ -25,6 +25,7 @@ be reused across runs and across partition-local indexes.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from typing import (
     Container,
@@ -65,10 +66,12 @@ class TreeNode:
         "terminal_rids",
         # join-time state, initialised by the join driver's bind step (not
         # here: skipping the writes keeps tree construction lean) ----------
-        "inv",        # primary inverted list (or the index universe)
-        "cur",        # cursor into ``inv``
+        "inv",        # sequence holding the primary list (or the universe)
+        "cur",        # probe cursor, bound to where the list starts in inv
+        "end",        # where the list ends in ``inv``
         "more_invs",  # extra lists for merged Patricia nodes, else None
         "more_curs",
+        "more_ends",
         "max_sid",
         "next_max",
         "rid_list",
@@ -98,14 +101,16 @@ class PrefixTree:
     def __init__(self, order: GlobalOrder) -> None:
         self.order = order
         self.root = TreeNode()
-        self.root.child_map = {}
         self.num_sets = 0
         self.num_nodes = 1  # the root
         self.compressed = False
         # Distinct elements per partition anchor (first element), collected
-        # during insertion so the partitioned joins (§V) can build local
-        # indexes without re-walking each subtree.
-        self.partition_elements: Dict[int, set] = {}
+        # while the tree is built so the partitioned joins (§V) can build
+        # local indexes without re-walking each subtree.
+        self.partition_elements: Dict[int, Set[int]] = {}
+        # Sets per partition anchor, so the partitioned joins size their
+        # partitions without walking the subtrees.
+        self.partition_counts: Dict[int, int] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -117,35 +122,129 @@ class PrefixTree:
         compress: bool = False,
         freeze: bool = True,
     ) -> "PrefixTree":
-        """Insert every set of ``R`` (elements sorted in the global order).
+        """The tree over every set of ``R`` (elements in the global order).
 
         With ``compress=True`` the tree is path-compressed into a Patricia
-        tree after construction. ``freeze=False`` keeps the per-node child
+        tree after construction. The frozen tree (the default) is laid
+        down in bulk from the sorted sets and carries no child maps;
+        ``freeze=False`` inserts set by set and keeps the per-node child
         maps, which :meth:`subsets_of` uses for element-keyed descent.
+        Both give the same nodes, rid lists and partition bookkeeping.
         """
-        tree = cls(order)
-        for rid, record in enumerate(r_collection):
-            tree.insert(order.sort_record(record), rid)
+        if freeze:
+            tree = cls._bulk_build(r_collection, order)
+        else:
+            tree = cls(order)
+            for rid, record in enumerate(r_collection):
+                tree.insert(order.sort_record(record), rid)
         if compress:
             tree.compress()
-        if freeze:
-            tree.freeze()
+        return tree
+
+    @classmethod
+    def _bulk_build(
+        cls, r_collection: SetCollection, order: GlobalOrder
+    ) -> "PrefixTree":
+        """Lay the tree down in one longest-common-prefix sweep.
+
+        Each record is rank-sorted once; the rank lists are then sorted,
+        so sets sharing a prefix are adjacent and each node is created by
+        the first set that reaches it. A set that is a prefix of another
+        sorts before it, so its end-marker is its node's first child, and
+        duplicates (equal, adjacent, in rid order) share one end-marker.
+        No child map is created: the joins walk ``children``, and a dict
+        per inner node would be a large share of the tree's footprint
+        (Fig 10 measures peak memory); :meth:`insert` builds maps lazily
+        where it descends. The root's children are finally put in
+        first-appearance order, the order set-by-set insertion gives them,
+        so the partitioned joins visit equal-sized partitions alike.
+
+        Every node stays reachable, so the cyclic collector could free
+        nothing while the tree grows but would rescan it over and over;
+        it is paused for the build.
+        """
+        tree = cls(order)
+        rank = order.rank
+        by_rank = [0] * len(rank)
+        for element, position in enumerate(rank):
+            by_rank[position] = element
+        records = r_collection.records
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ranked = [sorted(map(rank.__getitem__, rec)) for rec in records]
+            root = tree.root
+            path = [root]  # path[d]: the previous set's node at depth d
+            prev: List[int] = []
+            end_rids: Optional[List[int]] = None  # the previous set's rids
+            num_nodes = 1
+            partition_elements = tree.partition_elements
+            partition_counts = tree.partition_counts
+            anchor = first = -1  # the current partition's rank and element
+            anchor_elements: Set[int] = set()
+            for rid in sorted(range(len(ranked)), key=ranked.__getitem__):
+                key = ranked[rid]
+                size = len(key)
+                if end_rids is not None and key == prev:
+                    end_rids.append(rid)
+                else:
+                    common = 0
+                    limit = min(size, len(prev))
+                    while common < limit and key[common] == prev[common]:
+                        common += 1
+                    del path[common + 1:]
+                    node = path[common]
+                    for position in key[common:]:
+                        child = TreeNode((by_rank[position],))
+                        node.children.append(child)
+                        path.append(child)
+                        node = child
+                    end = TreeNode()
+                    end.terminal_rids = end_rids = [rid]
+                    node.children.append(end)
+                    num_nodes += size - common + 1
+                    prev = key
+                if size:
+                    # Sets sharing an anchor are adjacent in the sweep.
+                    if key[0] != anchor:
+                        anchor = key[0]
+                        first = by_rank[anchor]
+                        anchor_elements = partition_elements[first] = set()
+                        partition_counts[first] = 0
+                    anchor_elements.update(records[rid])
+                    partition_counts[first] += 1
+            tree.num_nodes = num_nodes
+            tree.num_sets = len(ranked)
+            appearance = {
+                a: i for i, a in enumerate(
+                    dict.fromkeys(by_rank[key[0]] for key in ranked if key)
+                )
+            }
+            root.children.sort(
+                key=lambda c: appearance[c.elements[0]] if c.elements else -1
+            )
+        finally:
+            if was_enabled:
+                gc.enable()
         return tree
 
     def insert(self, sorted_elements: Sequence[int], rid: int) -> None:
         """Insert one set (already sorted in the global order) with id ``rid``."""
         node = self.root
         if sorted_elements:
-            anchor_elements = self.partition_elements.get(sorted_elements[0])
+            anchor = sorted_elements[0]
+            anchor_elements = self.partition_elements.get(anchor)
             if anchor_elements is None:
-                self.partition_elements[sorted_elements[0]] = set(sorted_elements)
+                self.partition_elements[anchor] = set(sorted_elements)
             else:
                 anchor_elements.update(sorted_elements)
+            counts = self.partition_counts
+            counts[anchor] = counts.get(anchor, 0) + 1
         for e in sorted_elements:
             cmap = node.child_map
             if cmap is None:
-                # Fresh node, or one whose map was dropped by freeze():
-                # rebuild from the existing children.
+                # Fresh node, or one laid down by the bulk build: build the
+                # map from the existing children.
                 cmap = {c.elements[0]: c for c in node.children if c.elements}
                 node.child_map = cmap
             child = cmap.get(e)
@@ -168,21 +267,6 @@ class PrefixTree:
             self.num_nodes += 1
         end.terminal_rids.append(rid)
         self.num_sets += 1
-
-    def freeze(self) -> None:
-        """Drop the per-node child dictionaries once insertion is done.
-
-        ``child_map`` only serves :meth:`insert`; the joins walk
-        ``children`` directly. A dict per inner node is a large share of
-        the tree's footprint (Fig 10 measures peak memory), so a frozen
-        tree is substantially smaller. Inserting after freezing rebuilds
-        the map lazily.
-        """
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            node.child_map = None
-            stack.extend(node.children)
 
     def compress(self) -> None:
         """Merge single-child chains in place (Patricia / radix trie, §IV-A).

@@ -457,6 +457,7 @@ class CSRInvertedIndex:
         "inf_sid",
         "universe",
         "lists",
+        "_int_views",
         "_construction_cost",
         "_shms",
     )
@@ -478,6 +479,8 @@ class CSRInvertedIndex:
         self.stride = max(inf_sid, 1)
         self.universe = universe
         self.lists = _CSRListMapping(self)
+        # memoryviews of (offsets, values), made by the first int_span().
+        self._int_views: Optional[Tuple[memoryview, memoryview]] = None
         self._construction_cost = construction_cost
         self._shms = shms  # keeps attached segments alive with the arrays
 
@@ -520,29 +523,32 @@ class CSRInvertedIndex:
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "CSRInvertedIndex":
-        """Repack an existing :class:`InvertedIndex` (global or local)."""
-        elements = sorted(e for e, lst in index.lists.items() if len(lst))
-        num_slots = (elements[-1] + 1) if elements else 0
+        """Repack an existing :class:`InvertedIndex` (global or local).
+
+        The non-empty lists are flattened in element order with one
+        ``np.fromiter`` pass; offsets come from their lengths.
+        """
+        items = sorted((e, lst) for e, lst in index.lists.items() if len(lst))
+        num_slots = (items[-1][0] + 1) if items else 0
         inf_sid = index.inf_sid
         stride = max(inf_sid, 1)
         _check_key_space(num_slots, stride)
         sid_dtype = np.int32 if inf_sid <= np.iinfo(np.int32).max else np.int64
+        elements = np.fromiter(
+            (e for e, __ in items), dtype=np.int64, count=len(items)
+        )
+        lengths = np.fromiter(
+            (len(lst) for __, lst in items), dtype=np.int64, count=len(items)
+        )
+        values = np.fromiter(
+            chain.from_iterable(lst for __, lst in items),
+            dtype=sid_dtype,
+            count=int(lengths.sum()),
+        )
         offsets = np.zeros(num_slots + 1, dtype=np.int64)
-        parts = []
-        for e in elements:
-            lst = index.lists[e]
-            offsets[e + 1] = len(lst)
-            parts.append(np.asarray(lst, dtype=sid_dtype))
+        offsets[elements + 1] = lengths
         np.cumsum(offsets, out=offsets)
-        values = (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=sid_dtype)
-        )
-        elems = np.repeat(
-            np.asarray(elements, dtype=np.int64),
-            np.diff(offsets)[np.asarray(elements, dtype=np.int64)]
-            if elements else np.zeros(0, dtype=np.int64),
-        )
-        keyed = elems * stride + values
+        keyed = np.repeat(elements, lengths) * stride + values
         reg = _obs.ACTIVE
         if reg is not None:
             reg.inc("index.csr_builds")
@@ -602,6 +608,25 @@ class CSRInvertedIndex:
         """The inverted lists for a record, empty tuples included."""
         get = self.lists.get
         return [get(e, EMPTY_LIST) for e in elements]
+
+    def int_span(self, element: int) -> Tuple[Sequence[int], int, int]:
+        """Element's list as ``(seq, lo, hi)``: ``seq[lo:hi]`` is the list.
+
+        ``seq`` is one ``memoryview`` over ``values``, made on the first
+        call and kept on the index, so nothing is copied or allocated per
+        list and every item read is a plain Python int (a numpy view would
+        box each read into a numpy scalar). The tree join probes through
+        this; :meth:`close` releases the views.
+        """
+        views = self._int_views
+        if views is None:
+            views = self._int_views = (
+                memoryview(self.offsets), memoryview(self.values)
+            )
+        offsets, values = views
+        if 0 <= element < len(offsets) - 1:
+            return values, offsets[element], offsets[element + 1]
+        return values, 0, 0
 
     def list_length(self, element: int) -> int:
         """``|I[e]|`` — 0 for elements not in ``S``."""
@@ -685,7 +710,15 @@ class CSRInvertedIndex:
         exist, and the views export ``shm.buf`` — so the index must not be
         probed afterwards. Never unlinks: the creator owns the segment
         names and reclaims them via :meth:`SharedCSRHandle.cleanup`.
+
+        The memoryviews of :meth:`int_span` are released first: a tree
+        still bound to them then holds released views (a probe raises
+        ``ValueError``) rather than pointers into an unmapped segment.
         """
+        views, self._int_views = self._int_views, None
+        if views is not None:
+            for view in views:
+                view.release()
         shms, self._shms = self._shms, None
         if shms is None:
             return

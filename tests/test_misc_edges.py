@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
 
 from repro import SetCollection, set_containment_join
 from repro.baselines.piejoin import PieIndex
@@ -49,6 +50,37 @@ class TestDegenerateInputs:
         sink = PairListSink()
         framework_join(r, s, sink)
         assert sink.pairs == []
+
+
+class TestEmptyRecords:
+    """``validate=False`` admits empty records; the empty set is contained
+    in every set, so every method must give the naive join's answer."""
+
+    CASES = [
+        ([[], [1]], [[1, 2], [3]]),
+        ([[], [1], [1, 2]], [[1, 2], [], [3]]),
+        ([[1], [2]], [[], [1, 2]]),
+        ([[]], [[]]),
+        ([[], [0]], []),
+        ([[0, 5], [], []], [[0, 5], [1]]),
+    ]
+
+    def test_max_element_skips_empty_records(self):
+        assert SetCollection([[], [4], []], validate=False).max_element() == 4
+        assert SetCollection([[]], validate=False).max_element() == -1
+
+    @pytest.mark.parametrize("r_records,s_records", CASES)
+    def test_every_method_and_backend_equals_naive(self, r_records, s_records):
+        from repro.core.api import BACKEND_METHODS, BACKENDS, join_methods
+
+        r = SetCollection(r_records, validate=False)
+        s = SetCollection(s_records, validate=False)
+        expected = sorted(set_containment_join(r, s, method="naive"))
+        for method in join_methods():
+            backends = BACKENDS if method in BACKEND_METHODS else ("python",)
+            for backend in backends:
+                pairs = set_containment_join(r, s, method=method, backend=backend)
+                assert sorted(pairs) == expected, (method, backend)
 
 
 class TestSinkEdgeBehaviour:

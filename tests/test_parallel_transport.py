@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_join
-from repro.core.api import BACKEND_METHODS, BACKENDS, set_containment_join
+from repro.core.api import BACKEND_METHODS, BACKENDS, join_methods, set_containment_join
 from repro.core.order import build_order
 from repro.core.parallel import (
     _join_chunk,
@@ -388,11 +388,11 @@ class TestPartitionDurability:
 def skewed_workloads(draw):
     """Small skewed ``(R, S)`` pairs: a hot element that anchors one
     dominant partition, few partitions against many chunks, empty
-    collections, and both self joins and ``R != S``."""
+    collections, empty records, and both self joins and ``R != S``."""
     universe = draw(st.integers(1, 10))
     hot = [0] * 8 + [min(1, universe - 1)] * 3
     element = st.sampled_from(hot + list(range(universe)))
-    record = st.lists(element, min_size=1, max_size=5, unique=True)
+    record = st.lists(element, min_size=0, max_size=5, unique=True)
     r = SetCollection(draw(st.lists(record, max_size=16)), validate=False)
     if draw(st.booleans()):
         return r, r
@@ -402,6 +402,7 @@ def skewed_workloads(draw):
 DOMINANT = SetCollection([[0, i % 7 + 1] for i in range(14)] + [[2, 3], [4]])
 FEW_PARTITIONS = SetCollection([[0, 1], [0, 2], [0, 3], [0, 4], [0, 1, 2]])
 EMPTY = SetCollection([], validate=False)
+EMPTY_RECORDS = SetCollection([[], [0, 1], [], [2]], validate=False)
 
 
 @fork_only
@@ -415,11 +416,17 @@ EMPTY = SetCollection([], validate=False)
 @example((FEW_PARTITIONS, DOMINANT))
 @example((EMPTY, DOMINANT))
 @example((DOMINANT, EMPTY))
+@example((EMPTY_RECORDS, DOMINANT))
+@example((DOMINANT, EMPTY_RECORDS))
 def test_every_method_backend_and_mode_equals_naive(workload):
     r, s = workload
     expected = _naive(r, s)
+    for method in join_methods():
+        assert sorted(set_containment_join(r, s, method=method)) == expected, method
     for method in sorted(BACKEND_METHODS):
         for backend in BACKENDS:
+            serial = set_containment_join(r, s, method=method, backend=backend)
+            assert sorted(serial) == expected, (method, backend)
             for mode, requested in (({"workers": 2}, 2), ({"shards": 2}, 8)):
                 pairs, report = parallel_join(
                     r, s, method=method, backend=backend,

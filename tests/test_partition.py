@@ -16,6 +16,19 @@ from repro.index.prefix_tree import PrefixTree
 from conftest import random_instance
 
 
+def test_lcjoin_metrics_show_every_build_phase():
+    from repro import set_containment_join
+    from repro.obs.registry import MetricsRegistry
+
+    r, s = random_instance(3)
+    reg = MetricsRegistry()
+    set_containment_join(r, s, method="lcjoin", metrics=reg)
+    run = reg.span_root.children["join.run"]
+    for span in ("order.build", "index.build", "tree.build"):
+        assert span in run.children, span
+        assert run.children[span].count == 1
+
+
 @pytest.mark.parametrize("join", [all_partition_join, lcjoin])
 class TestPartitionJoins:
     def test_matches_ground_truth(self, join):

@@ -156,3 +156,90 @@ def test_num_nodes_bounded_by_tokens(records):
     tree, data, __ = _build(records)
     # root + at most one node per token + one end marker per distinct set
     assert tree.num_nodes <= 1 + data.total_tokens() + len(data)
+
+
+# -- bulk build vs set-by-set insertion ---------------------------------------
+
+
+def _paths(tree):
+    """Sorted ``(elements along the path, rids)`` for every end-marker."""
+    out = []
+    stack = [(tree.root, ())]
+    while stack:
+        node, path = stack.pop()
+        for child in node.children:
+            if child.terminal_rids is not None:
+                out.append((path, tuple(child.terminal_rids)))
+            else:
+                stack.append((child, path + child.elements))
+    return sorted(out)
+
+
+def _shape(tree):
+    return (
+        _paths(tree),
+        tree.num_nodes,
+        tree.num_sets,
+        tree.partition_elements,
+        tree.partition_counts,
+        [anchor for anchor, __ in tree.partition_roots()],
+    )
+
+
+def _end_markers_first(tree):
+    return all(
+        not any(c.terminal_rids is not None for c in node.children[1:])
+        for node in tree.iter_nodes()
+    )
+
+
+# Few elements and a small record pool: duplicates, prefix sets and empty
+# records are all common. S covers only part of R's elements, so R holds
+# elements absent from S (they rank after every S element).
+_pool = st.lists(
+    st.lists(st.integers(0, 7), max_size=5, unique=True), min_size=1, max_size=6
+)
+
+
+@given(
+    st.data(),
+    _pool,
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4), max_size=6),
+    st.booleans(),
+)
+def test_bulk_build_equals_insertion(data, pool, s_records, compress):
+    records = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+    r = SetCollection(records, validate=False)
+    order = build_order(SetCollection(s_records), universe=8)
+    bulk = PrefixTree.build(r, order, compress=compress)
+    inserted = PrefixTree.build(r, order, compress=compress, freeze=False)
+    assert _shape(bulk) == _shape(inserted)
+    assert sum(bulk.partition_counts.values()) == sum(1 for rec in r if rec)
+    assert _end_markers_first(bulk)
+    assert all(node.child_map is None for node in bulk.iter_nodes())
+    if compress:
+        return
+    # Inserting into a bulk tree rebuilds the child maps lazily and keeps
+    # it equal to a tree that saw every set by insertion.
+    extra = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    for rid, record in enumerate(extra, start=len(r)):
+        for tree in (bulk, inserted):
+            tree.insert(order.sort_record(record), rid)
+    assert _shape(bulk) == _shape(inserted)
+    assert _end_markers_first(bulk)
+
+
+def test_bulk_build_leaves_the_collector_as_it_found_it():
+    import gc
+
+    data = SetCollection([[0, 1], [0, 2], [1]])
+    order = build_order(data)
+    assert gc.isenabled()
+    PrefixTree.build(data, order)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        PrefixTree.build(data, order)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

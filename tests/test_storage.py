@@ -300,3 +300,66 @@ class TestInterruptedRunHygiene:
                     seg.unlink()
                 finally:
                     seg.close()
+
+
+class TestIntSpan:
+    """The tree join probes CSR lists through ``int_span()``."""
+
+    def _collection(self):
+        return SetCollection([[0, 1], [0, 2, 5], [1, 2], [0, 1, 2, 5]])
+
+    def test_spans_match_the_lists_and_yield_python_ints(self):
+        from repro.index.inverted import InvertedIndex
+        from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
+
+        data = self._collection()
+        ref = InvertedIndex.build(data)
+        for index in (ref, CSRInvertedIndex.build(data), HybridInvertedIndex.build(data)):
+            for element in range(-1, 8):
+                seq, lo, hi = index.int_span(element)
+                got = [seq[i] for i in range(lo, hi)]
+                assert got == list(ref.lists.get(element, ())), element
+                assert all(type(sid) is int for sid in got)
+
+    def test_one_view_per_index(self):
+        from repro.index.storage import CSRInvertedIndex
+
+        index = CSRInvertedIndex.build(self._collection())
+        assert index.int_span(0)[0] is index.int_span(2)[0]
+        other = CSRInvertedIndex.build(self._collection())
+        assert other.int_span(0)[0] is not index.int_span(0)[0]
+
+    @pytest.mark.parametrize("backend", ["csr", "hybrid"])
+    def test_close_unmaps_the_segments_under_a_bound_tree(self, backend):
+        """close() releases the index's views, which the tree joined against
+        it still holds, before it unmaps the segments: afterwards the tree
+        holds released views, not pointers into unmapped memory."""
+        from repro.core.order import build_order
+        from repro.core.results import PairListSink
+        from repro.core.tree_join import tree_join
+        from repro.index.prefix_tree import PrefixTree
+        from repro.index.storage import CSRInvertedIndex, HybridInvertedIndex
+
+        cls = HybridInvertedIndex if backend == "hybrid" else CSRInvertedIndex
+        s = SetCollection([[0, i % 5 + 1, i % 3 + 6] for i in range(40)])
+        r = SetCollection([[0], [0, 1], [0, 2, 7], [4, 9]])
+        order = build_order(s, universe=10)
+        tree = PrefixTree.build(r, order)
+        handle = cls.build(s).to_shared_memory()
+        try:
+            attached = cls.from_shared_memory(handle)
+            shms = attached._shms
+            sink, expected = PairListSink(), PairListSink()
+            tree_join(r, s, sink, index=attached, tree=tree, order=order,
+                      backend=backend)
+            tree_join(r, s, expected)
+            assert sink.sorted_pairs() == expected.sorted_pairs()
+            bound = {id(node.inv): node.inv for node in tree.iter_nodes()
+                     if isinstance(node.inv, memoryview)}
+            assert len(bound) == 1  # every node shares the index's one view
+            attached.close()
+            assert all(shm._buf is None for shm in shms)
+            (view,) = bound.values()
+            assert repr(view).startswith("<released memory")
+        finally:
+            handle.cleanup()
